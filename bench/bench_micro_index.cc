@@ -123,6 +123,44 @@ void BM_NameIndexWildcard(benchmark::State& state) {
 }
 BENCHMARK(BM_NameIndexWildcard)->Arg(1000)->Arg(100000);
 
+/// A name index with Table 4's needles among generated names: 1 name in
+/// 97 ends in "Vision" (the others in ".tex", 1 in 7, or ".txt"), 1 in 89
+/// starts with "Conclusion", 1 in 50 starts with "figure".
+index::NameIndex MakeNameIndex(size_t n) {
+  index::NameIndex idx;
+  Rng rng(13);
+  workload::TextGenerator text(&rng);
+  for (DocId id = 0; id < static_cast<DocId>(n); ++id) {
+    std::string name = text.Words(2);
+    if (id % 89 == 0) name = "Conclusion " + name;
+    if (id % 50 == 0) name = "figure" + std::to_string(id) + " " + name;
+    if (id % 97 == 0) {
+      name += " Vision";
+    } else {
+      name += id % 7 == 0 ? ".tex" : ".txt";
+    }
+    idx.Add(id, name);
+  }
+  return idx;
+}
+
+/// LookupPattern by pattern shape: suffixes ("*.tex", "*Vision") walk the
+/// suffix lexicon, "?onclusion*" and "*vision*" the trigram postings,
+/// "figure*" the name map's prefix range. "scan" has no literal of 3 bytes
+/// and the same answer as "*.tex": the cost without the accelerator.
+void BM_NameIndexPattern(benchmark::State& state, const char* pattern) {
+  const index::NameIndex idx = MakeNameIndex(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(idx.LookupPattern(pattern));
+  }
+}
+BENCHMARK_CAPTURE(BM_NameIndexPattern, suffix, "*.tex")->Arg(100000);
+BENCHMARK_CAPTURE(BM_NameIndexPattern, suffix_word, "*Vision")->Arg(100000);
+BENCHMARK_CAPTURE(BM_NameIndexPattern, infix, "*vision*")->Arg(100000);
+BENCHMARK_CAPTURE(BM_NameIndexPattern, qmark_led, "?onclusion*")->Arg(100000);
+BENCHMARK_CAPTURE(BM_NameIndexPattern, prefix, "figure*")->Arg(100000);
+BENCHMARK_CAPTURE(BM_NameIndexPattern, scan, "*.?ex")->Arg(100000);
+
 void BM_GroupStoreDescendants(benchmark::State& state) {
   // A wide tree: fanout 10, as deep as the node budget allows.
   index::GroupStore store;
@@ -152,6 +190,31 @@ void BM_CatalogRegister(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CatalogRegister)->Arg(1000)->Arg(10000);
+
+/// The live set of a catalog with 1 id in 100 tombstoned: LiveIds() copies
+/// it, LiveSnapshot() shares the published vector.
+index::Catalog MakeCatalog(size_t n) {
+  index::Catalog catalog;
+  uint32_t src = catalog.InternSource("fs");
+  for (size_t i = 0; i < n; ++i) {
+    catalog.Register("vfs:/folder/file" + std::to_string(i), "file", src,
+                     false);
+  }
+  for (DocId id = 0; id < n; id += 100) catalog.Remove(id);
+  return catalog;
+}
+
+void BM_CatalogLiveIds(benchmark::State& state) {
+  const index::Catalog catalog = MakeCatalog(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(catalog.LiveIds());
+}
+BENCHMARK(BM_CatalogLiveIds)->Arg(100000);
+
+void BM_CatalogLiveSnapshot(benchmark::State& state) {
+  const index::Catalog catalog = MakeCatalog(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(catalog.LiveSnapshot());
+}
+BENCHMARK(BM_CatalogLiveSnapshot)->Arg(100000);
 
 double MsNow() {
   return std::chrono::duration<double, std::milli>(

@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
     std::printf("--- the Query 1 hit, in context ---\n");
     std::printf("  view:   %s\n", ds.UriOf(id).c_str());
     std::printf("  name:   %s (class %s)\n", ds.NameOf(id).c_str(),
-                ds.module().catalog().Entry(id)->class_name.c_str());
+                std::string(ds.module().catalog().Entry(id)->class_name)
+                    .c_str());
     auto parents = ds.module().groups().Parents(id);
     while (!parents.empty()) {
       index::DocId parent = parents[0];

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <chrono>
 #include <cstdlib>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <set>
@@ -59,7 +60,7 @@ std::vector<DocId> Difference(const std::vector<DocId>& a,
 /// thread.
 struct LiveCache {
   std::once_flag once;
-  std::vector<DocId> ids;
+  std::shared_ptr<const std::vector<DocId>> ids;
 };
 
 }  // namespace
@@ -308,8 +309,8 @@ class QueryProcessor::Evaluation {
 
   const std::vector<DocId>& AllLive() {
     std::call_once(live_->once,
-                   [this] { live_->ids = module_.catalog().LiveIds(); });
-    return live_->ids;
+                   [this] { live_->ids = module_.catalog().LiveSnapshot(); });
+    return *live_->ids;
   }
 
   /// Merges a completed child evaluation's statistics (in fan-out input
@@ -360,11 +361,17 @@ class QueryProcessor::Evaluation {
     return pred.literal;
   }
 
-  /// True iff \p cls equals or specializes \p wanted. Unregistered classes
-  /// match only by exact string equality (schema-later tolerance).
-  bool ClassMatches(const std::string& cls, const std::string& wanted) {
-    if (cls == wanted) return true;
-    return classes_.IsSubclassOf(cls, wanted);
+  /// accept[k]: the catalog's interned class k equals or specializes
+  /// \p wanted — one registry walk per distinct class, not per view.
+  /// Unregistered classes match only by exact string equality
+  /// (schema-later tolerance).
+  std::vector<char> ClassAccept(const std::string& wanted) const {
+    const std::deque<std::string>& names = module_.catalog().class_names();
+    std::vector<char> accept(names.size());
+    for (size_t k = 0; k < names.size(); ++k) {
+      accept[k] = names[k] == wanted || classes_.IsSubclassOf(names[k], wanted);
+    }
+    return accept;
   }
 
   /// Evaluates the children of an and/or node against \p universe, in
@@ -431,15 +438,15 @@ class QueryProcessor::Evaluation {
         return ids;
       }
       case PredNode::Kind::kClassEq: {
+        const std::vector<char> accept = ClassAccept(pred.text);
+        const index::Catalog& catalog = module_.catalog();
         return ChunkedConcat(universe.size(), [&](size_t begin, size_t end) {
           std::vector<DocId> out;
           for (size_t i = begin; i < end; ++i) {
             if (ctx_ != nullptr && !ctx_->TickAlive()) break;
             DocId id = universe[i];
-            const index::CatalogEntry* entry = module_.catalog().Entry(id);
-            if (entry != nullptr && ClassMatches(entry->class_name, pred.text)) {
-              out.push_back(id);
-            }
+            uint32_t cls = catalog.ClassId(id);  // kNoClass if unknown
+            if (cls < accept.size() && accept[cls]) out.push_back(id);
           }
           return out;
         });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -120,10 +121,8 @@ struct VmState {
   }
 
   const std::vector<DocId>& AllLive() {
-    std::call_once(live->once, [this] {
-      live->ids = std::make_shared<const std::vector<DocId>>(
-          module.catalog().LiveIds());
-    });
+    std::call_once(live->once,
+                   [this] { live->ids = module.catalog().LiveSnapshot(); });
     return *live->ids;
   }
   Batch AllLiveBatch() {
@@ -131,9 +130,17 @@ struct VmState {
     return live->ids;
   }
 
-  bool ClassMatches(const std::string& cls, const std::string& wanted) {
-    if (cls == wanted) return true;
-    return classes.IsSubclassOf(cls, wanted);
+  /// accept[k]: the catalog's interned class k equals or specializes
+  /// \p wanted — one registry walk per distinct class, not per view.
+  /// Unregistered classes match only by exact string equality
+  /// (schema-later tolerance).
+  std::vector<char> ClassAccept(const std::string& wanted) const {
+    const std::deque<std::string>& names = module.catalog().class_names();
+    std::vector<char> accept(names.size());
+    for (size_t k = 0; k < names.size(); ++k) {
+      accept[k] = names[k] == wanted || classes.IsSubclassOf(names[k], wanted);
+    }
+    return accept;
   }
 
   template <typename Fn>
@@ -677,7 +684,9 @@ Status ExecOps(VmState& st, const PlanProgram& program,
       }
       case OpCode::kClassFilter: {
         const std::vector<DocId>& universe = *regs[op.a];
-        const std::string& wanted = program.strings[op.str];
+        const std::vector<char> accept =
+            st.ClassAccept(program.strings[op.str]);
+        const index::Catalog& catalog = st.module.catalog();
         regs[op.dst] =
             MakeBatch(st.ChunkedConcat(universe.size(), [&](size_t begin,
                                                             size_t end) {
@@ -685,12 +694,8 @@ Status ExecOps(VmState& st, const PlanProgram& program,
               for (size_t i = begin; i < end; ++i) {
                 if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
                 DocId id = universe[i];
-                const index::CatalogEntry* entry =
-                    st.module.catalog().Entry(id);
-                if (entry != nullptr &&
-                    st.ClassMatches(entry->class_name, wanted)) {
-                  out.push_back(id);
-                }
+                uint32_t cls = catalog.ClassId(id);  // kNoClass if unknown
+                if (cls < accept.size() && accept[cls]) out.push_back(id);
               }
               return out;
             }));

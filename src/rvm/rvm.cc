@@ -514,7 +514,8 @@ Result<SyncStats> ReplicaIndexesModule::SyncSource(
   // views (converter subgraphs) are not probed individually: they are
   // removed together with their base item by RemoveSubtree.
   std::unordered_set<std::string> before;
-  for (DocId id : catalog_.LiveIds()) {
+  const auto live = catalog_.LiveSnapshot();
+  for (DocId id : *live) {
     const index::CatalogEntry* entry = catalog_.Entry(id);
     if (entry != nullptr && entry->source == source_id && !entry->derived) {
       before.insert(entry->uri);
@@ -602,7 +603,10 @@ Result<SyncStats> ReplicaIndexesModule::RemoveSubtree(const std::string& uri) {
   SyncStats stats;
   std::string slash_prefix = uri + "/";
   std::string hash_prefix = uri + "#";
-  for (DocId id : catalog_.LiveIds()) {
+  // The held snapshot is immutable: removing ids below publishes a new one
+  // on the next read and leaves this iteration untouched.
+  const auto live = catalog_.LiveSnapshot();
+  for (DocId id : *live) {
     const index::CatalogEntry* entry = catalog_.Entry(id);
     if (entry == nullptr) continue;
     const std::string& candidate = entry->uri;

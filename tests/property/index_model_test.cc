@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "index/catalog.h"
 #include "index/group_store.h"
@@ -235,6 +238,111 @@ TEST_P(ModelSweep, WildcardMatchAgreesWithReference) {
     EXPECT_EQ(WildcardMatch(pattern, text), ReferenceMatch(pattern, text))
         << "'" << pattern << "' vs '" << text << "'";
   }
+}
+
+// --- NameIndex accelerated LookupPattern vs. brute force ---------------------
+
+/// Expected LookupPattern answer: every replica id whose name matches.
+std::vector<DocId> BruteForcePattern(const std::map<DocId, std::string>& replica,
+                                     const std::string& pattern) {
+  std::vector<DocId> out;
+  for (const auto& [id, name] : replica) {
+    if (WildcardMatch(pattern, name)) out.push_back(id);
+  }
+  return out;
+}
+
+/// A name from a small stem vocabulary, so distinct names collide, empty
+/// and reappear under churn; case varies so lowering is exercised.
+std::string RandomName(Rng& rng) {
+  static const char* kStems[] = {"Vision",  "conclusion", "Conclusions",
+                                 "figure",  "fig",        "paper",
+                                 "a",       "ab",         "onclusion",
+                                 "visions", "tex",        ""};
+  static const char* kTails[] = {"", ".tex", ".TeX", ".txt", "1", "s.tex"};
+  std::string name = kStems[rng.Uniform(std::size(kStems))];
+  name += kTails[rng.Uniform(std::size(kTails))];
+  for (char& c : name) {
+    if (rng.Chance(0.2)) c = static_cast<char>(std::toupper(c));
+  }
+  return name;
+}
+
+/// Patterns of every shape the accelerator distinguishes: prefix-only,
+/// suffix-only, '?'-led, several '*' segments, literals under kGram bytes,
+/// mixed case, "" and "*"; plus random ones over the names' alphabet.
+std::vector<std::string> PatternSet(Rng& rng) {
+  std::vector<std::string> patterns = {
+      "fig*",       "FIGURE*",     "*.tex",      "*.TEX",     "*Vision",
+      "*vision*",   "?onclusion*", "?ONCLUSION", "*on*sion*", "*a*",
+      "a*",         "*b",          "ab*",        "*",         "",
+      "?",          "??",          "*.t?x",      "paper*tex", "*sion",
+      "fig?re.tex", "*x",          "*s.tex",     "?*.txt",    "*?*",
+      "con*s",      "*zzz*",       "*ex1",       "vision",    "Fig"};
+  static const char kChars[] = "aAbcinostvx.*?";
+  for (int i = 0; i < 40; ++i) {
+    std::string pattern;
+    for (size_t j = 0, n = rng.Uniform(9); j < n; ++j) {
+      pattern += kChars[rng.Uniform(sizeof(kChars) - 1)];
+    }
+    patterns.push_back(pattern);
+  }
+  return patterns;
+}
+
+void ExpectPatternsMatchReplica(const NameIndex& index,
+                                const std::map<DocId, std::string>& replica,
+                                const std::vector<std::string>& patterns,
+                                const std::string& when) {
+  for (const std::string& pattern : patterns) {
+    EXPECT_EQ(index.LookupPattern(pattern), BruteForcePattern(replica, pattern))
+        << "pattern '" << pattern << "' " << when;
+  }
+}
+
+TEST_P(ModelSweep, NamePatternLookupMatchesBruteForce) {
+  Rng rng(GetParam());
+  const std::vector<std::string> patterns = PatternSet(rng);
+  NameIndex index;
+  std::map<DocId, std::string> replica;
+
+  for (int step = 0; step < 400; ++step) {
+    DocId id = rng.Uniform(50);
+    double roll = rng.NextDouble();
+    if (roll < 0.55) {  // add, or rename an existing id
+      std::string name = RandomName(rng);
+      index.Add(id, name);
+      replica[id] = name;
+    } else if (roll < 0.85) {
+      index.Remove(id);
+      replica.erase(id);
+    } else {  // unknown id: a no-op
+      index.Remove(1000 + id);
+    }
+    if (step % 25 == 0) {
+      ExpectPatternsMatchReplica(index, replica, patterns,
+                                 "at step " + std::to_string(step));
+    }
+  }
+
+  // A distinct name that empties and reappears under another id (and case).
+  index.Add(900, "Unique.tex");
+  replica[900] = "Unique.tex";
+  ExpectPatternsMatchReplica(index, replica, {"*que.tex", "?nique*", "uni*"},
+                             "after adding a new distinct name");
+  index.Remove(900);
+  replica.erase(900);
+  EXPECT_TRUE(index.LookupPattern("*que.tex").empty());
+  EXPECT_TRUE(index.LookupPattern("?nique*").empty());
+  index.Add(901, "UNIQUE.TEX");
+  replica[901] = "UNIQUE.TEX";
+  ExpectPatternsMatchReplica(index, replica, {"*que.tex", "?nique*", "uni*"},
+                             "after the name reappeared");
+
+  ExpectPatternsMatchReplica(index, replica, patterns, "after churn");
+  auto restored = NameIndex::Deserialize(index.Serialize());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ExpectPatternsMatchReplica(*restored, replica, patterns, "after round trip");
 }
 
 // --- Catalog + VersionLog serialization under churn ---------------------------

@@ -25,7 +25,7 @@ std::vector<std::string> CatalogFingerprint(const ReplicaIndexesModule& m) {
   std::vector<std::string> entries;
   for (index::DocId id : m.catalog().LiveIds()) {
     const index::CatalogEntry* entry = m.catalog().Entry(id);
-    entries.push_back(entry->uri + "|" + entry->class_name);
+    entries.push_back(entry->uri + "|" + std::string(entry->class_name));
   }
   std::sort(entries.begin(), entries.end());
   return entries;
