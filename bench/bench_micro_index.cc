@@ -3,8 +3,8 @@
 // group-store reachability. These are the primitives behind Fig. 5/6.
 //
 // After the google-benchmark tables, main() measures the engine axis —
-// merge-based postings scans (the interpreter's primitive) vs the
-// block-compressed decoders (the VM's, DESIGN.md §16) — at 10x the micro
+// merge-based postings scans (the governed VM's primitive) vs the
+// block-compressed decoders (the ungoverned VM's, DESIGN.md §16) — at 10x the micro
 // scale and writes the rows to BENCH_micro_parallel.json in the
 // BENCH_parallel.json row schema.
 
@@ -222,8 +222,8 @@ double MsNow() {
       .count();
 }
 
-// The engine axis at 10x the micro scale: merge-based scans (interpreter
-// primitive) vs blocked decoders (VM primitive), p50 over repeated runs,
+// The engine axis at 10x the micro scale: merge-based scans (governed
+// primitive) vs blocked decoders (ungoverned primitive), p50 over repeated runs,
 // results verified identical pairwise.
 int EmitEngineAxis() {
   constexpr size_t kDocs = 100000;  // 10x the largest google-benchmark arg

@@ -155,68 +155,6 @@ int main() {
   }
   Rule(72);
 
-  // --- engine axis: interpreter vs bytecode VM (serial, uncached) ----------
-  // DESIGN.md §16: same plans, block-compressed postings; differentially
-  // checked. The acceptance gate reads the p50 speedup off these rows.
-  constexpr int kEngineRuns = 9;
-  std::printf("\nEngine axis: interpreter vs bytecode VM (serial, p50 of %d "
-              "runs)\n",
-              kEngineRuns);
-  Rule(76);
-  std::printf("%-4s %14s %14s %10s %10s\n", "", "interp [ms]", "vm [ms]",
-              "speedup", "identical");
-  Rule(76);
-  for (const PaperQuery& query : Table4Queries()) {
-    std::vector<double> p50s;
-    std::vector<iql::QueryResult> samples;
-    for (iql::QueryProcessor::Engine engine :
-         {iql::QueryProcessor::Engine::kInterp,
-          iql::QueryProcessor::Engine::kVm}) {
-      iql::QueryProcessor::Options options;
-      options.engine = engine;
-      iql::QueryProcessor processor(&ds.module(), &ds.classes(), ds.clock(),
-                                    options);
-      std::vector<double> times;
-      for (int run = 0; run < kWarmup + kEngineRuns; ++run) {
-        double t0 = MsNow();
-        auto result = processor.Execute(query.iql);
-        double elapsed = MsNow() - t0;
-        if (!result.ok()) {
-          std::printf("%-4s FAILED (engine): %s\n", query.id,
-                      result.status().ToString().c_str());
-          return 1;
-        }
-        if (run >= kWarmup) times.push_back(elapsed);
-        if (run == kWarmup + kEngineRuns - 1) {
-          samples.push_back(*std::move(result));
-        }
-      }
-      p50s.push_back(Median(times));
-    }
-    bool same = samples[0].rows == samples[1].rows &&
-                samples[0].scores == samples[1].scores &&
-                samples[0].columns == samples[1].columns &&
-                samples[0].expanded_views == samples[1].expanded_views;
-    all_identical = all_identical && same;
-    double engine_speedup = p50s[1] > 0 ? p50s[0] / p50s[1] : 0;
-    std::printf("%-4s %14.3f %14.3f %9.2fx %10s\n", query.id, p50s[0],
-                p50s[1], engine_speedup, same ? "YES" : "NO");
-    for (size_t e = 0; e < 2; ++e) {
-      ParallelBenchRow row;
-      row.name = query.id;
-      row.mode = "engine";
-      row.engine = e == 0 ? "interp" : "vm";
-      row.threads = 1;
-      row.serial_ms = p50s[0];
-      row.mean_ms = p50s[e];
-      row.p50_ms = p50s[e];
-      row.speedup = p50s[e] > 0 ? p50s[0] / p50s[e] : 0;
-      row.ops_per_sec = p50s[e] > 0 ? 1000.0 / p50s[e] : 0;
-      row.identical_to_serial = same;
-      rows.push_back(row);
-    }
-  }
-  Rule(76);
   const index::InvertedIndex& content = ds.module().content();
   std::printf("postings memory: blocked %s MB <= uncompressed %s MB: %s\n",
               Mb(content.CompressedPostingsBytes()).c_str(),

@@ -302,7 +302,7 @@ Result<QueryResult> Dataspace::EvalPlanned(const ::idm::iql::Query& parsed,
   auto evaluate = [&]() -> Result<QueryResult> {
     obs::ScopedSpan eval_span(root, "evaluate");
     Result<QueryResult> result =
-        processor_->Evaluate(parsed, plan, ctx_ptr, eval_span.get());
+        processor_->Evaluate(plan, ctx_ptr, eval_span.get());
     if (ctx_ptr != nullptr && ctx_ptr->charged_micros() > 0) {
       clock_.AdvanceMicros(ctx_ptr->charged_micros());
     }
@@ -481,14 +481,13 @@ Result<std::shared_ptr<sub::Subscription>> Dataspace::Subscribe(
   // The maintenance recompute (and the initial snapshot below): evaluate
   // under the subscription's own governance limits, charging simulated
   // evaluation cost to the dataspace clock like any governed Query().
-  sub::EvalFn eval = [this, query, plan,
+  sub::EvalFn eval = [this, plan,
                       limits = options.limits]() -> sub::EvalOutcome {
     sub::EvalOutcome out;
     std::optional<util::ExecContext> ctx;
     if (limits.any()) ctx.emplace(&clock_, limits);
     util::ExecContext* ctx_ptr = ctx.has_value() ? &*ctx : nullptr;
-    Result<QueryResult> result =
-        processor_->Evaluate(*query, *plan, ctx_ptr, nullptr);
+    Result<QueryResult> result = processor_->Evaluate(*plan, ctx_ptr, nullptr);
     if (ctx_ptr != nullptr && ctx_ptr->charged_micros() > 0) {
       clock_.AdvanceMicros(ctx_ptr->charged_micros());
     }
@@ -506,10 +505,13 @@ Result<std::shared_ptr<sub::Subscription>> Dataspace::Subscribe(
   // Per-view fast path only for shapes where membership is a function of
   // the view itself AND the predicate is clock-independent (a now()-window
   // can silently expire members between events — those shapes recompute).
+  // The membership test is compiled once, here, and run per changed view.
   sub::MatchFn match;
   if (QueryProcessor::SupportsMatchesDoc(*query) && IsCacheable(*query)) {
-    match = [this, query](index::DocId id) {
-      Result<bool> hit = processor_->MatchesDoc(*query, id);
+    IDM_ASSIGN_OR_RETURN(QueryProcessor::MatchPlan match_plan,
+                         processor_->PlanMatch(*query));
+    match = [this, match_plan = std::move(match_plan)](index::DocId id) {
+      Result<bool> hit = processor_->MatchesDoc(match_plan, id);
       return hit.ok() && *hit;
     };
   }

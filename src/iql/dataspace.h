@@ -67,7 +67,7 @@ struct DataspaceStats {
   RepairStats repair;                     ///< scrub/quarantine/self-heal
   util::ThreadPoolTelemetry pool;         ///< zeros when threads <= 1
   obs::MetricsSnapshot metrics;           ///< empty when observability off
-  QueryProcessor::EngineStats engine;     ///< plan/interp/vm dispatch (§16)
+  QueryProcessor::EngineStats engine;     ///< plans compiled, VM runs (§16)
   index::InvertedIndex::BlockStats postings;  ///< block-compression activity
 };
 

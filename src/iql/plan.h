@@ -4,9 +4,9 @@
 // A PlanProgram is a flat array of fixed-width PlanOps over virtual
 // registers, each register holding one batch of sorted candidate view ids.
 // Strings (phrases, name patterns, attributes) and comparison literals are
-// interned into per-program pools; sub-queries that the interpreter would
-// evaluate recursively (set-operator arms, join inputs, parallel and/or
-// arms) become nested sub-programs referenced by index. Lowering is
+// interned into per-program pools; sub-queries (set-operator arms, join
+// inputs, parallel and/or arms) become nested sub-programs referenced by
+// index. Lowering is
 // deterministic, so a program doubles as the query's *canonical* identity:
 // CanonicalQueryKey() flattens and sorts commutative operands (and/or
 // chains, union/intersect arms, except subtrahends), and its FNV-1a hash

@@ -27,8 +27,8 @@ void Emit(PlanProgram* program, PlanOp op) {
   program->ops.push_back(op);
 }
 
-/// Mirrors Evaluation::CollectPhrases: phrases in predicate-tree order;
-/// rankable goes false on any non-keyword leaf.
+/// Phrases in predicate-tree order; rankable goes false on any non-keyword
+/// leaf.
 void CollectPhrases(const PredNode& pred, std::vector<std::string>* phrases,
                     bool* rankable) {
   switch (pred.kind) {
@@ -50,11 +50,19 @@ void CollectPhrases(const PredNode& pred, std::vector<std::string>* phrases,
 
 }  // namespace
 
+bool Planner::IsRankable(const PredNode& filter) {
+  std::vector<std::string> phrases;
+  bool rankable = true;
+  CollectPhrases(filter, &phrases, &rankable);
+  return rankable && !phrases.empty();
+}
+
 std::unique_ptr<PlanProgram> Planner::Lower(const Query& query) const {
   std::unique_ptr<PlanProgram> program = LowerQueryProgram(query);
   // Only the root program's materialization runs governed (§10 prefix
-  // capture, the interpreter's root_ && depth_ == 1 condition): sub-program
-  // materializations (set-op arms, join inputs) stay ungoverned.
+  // capture: its input ids are complete, so the rows kept when the family
+  // is doomed mid-loop are a prefix): sub-program materializations
+  // (set-op arms, join inputs) stay ungoverned.
   for (PlanOp& op : program->ops) {
     if (op.code == OpCode::kMaterialize) op.flags |= 1;
   }
@@ -210,8 +218,8 @@ uint16_t Planner::LowerPred(const PredNode& pred, uint16_t universe,
                        static_cast<uint16_t>(pred.children.size()), 0, first});
         return out;
       }
-      // Serial accumulator chain with the interpreter's short-circuit:
-      // child i+1 runs only while the accumulator is non-empty.
+      // Serial accumulator chain with a short-circuit: child i+1 runs only
+      // while the accumulator is non-empty.
       uint16_t acc = NewReg(program);
       Emit(program, {OpCode::kMove, 0, acc, universe});
       std::vector<size_t> jumps;

@@ -7,22 +7,6 @@
 
 namespace idm::iql {
 
-namespace {
-
-const char* EngineName(QueryProcessor::Engine engine) {
-  switch (engine) {
-    case QueryProcessor::Engine::kInterp:
-      return "interp";
-    case QueryProcessor::Engine::kVm:
-      return "vm";
-    case QueryProcessor::Engine::kBoth:
-      return "both";
-  }
-  return "?";
-}
-
-}  // namespace
-
 Result<QueryResult> PreparedQuery::Execute(const QueryOptions& options) const {
   if (!valid()) {
     return Status::FailedPrecondition("empty PreparedQuery");
@@ -37,8 +21,6 @@ std::string PreparedQuery::Explain() const {
   os << "key: " << plan_->cache_key << "\n";
   os << "fingerprint: " << std::hex << std::showbase << plan_->fingerprint
      << std::dec << std::noshowbase << "\n";
-  os << "engine: "
-     << EngineName(dataspace_->processor().options().engine) << "\n";
   os << ExplainProgram(*plan_);
   return os.str();
 }

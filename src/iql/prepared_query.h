@@ -55,7 +55,7 @@ class PreparedQuery {
   Result<QueryResult> Execute(const QueryOptions& options = {}) const;
 
   /// Stable, golden-testable description of the compiled plan: the
-  /// normalized query, canonical key, fingerprint, engine, and the full
+  /// normalized query, canonical key, fingerprint, and the full
   /// bytecode listing (ops, registers, sub-programs, join inputs).
   std::string Explain() const;
 

@@ -1,5 +1,6 @@
 // iQL Query Processor (paper §5.1): parses queries, plans them with simple
-// rewrite rules, and evaluates them against the Replica&Indexes module —
+// rewrite rules, lowers them to bytecode (iql/planner.h) and runs them on
+// the VM (iql/vm.h) against the Replica&Indexes module —
 // queries never touch the underlying data sources (that is the point of
 // the replicas, paper §5.2).
 //
@@ -21,9 +22,9 @@
 //       expansion") for Q8-style blowup, implemented.
 //
 // Parallel execution (DESIGN.md §8): with Options::threads > 1 the
-// processor owns a fixed util::ThreadPool and fans independent work out
-// across it — set-operator arms, or/and-children, join inputs, the probe
-// side of hash joins, class-conformance filters, and per-candidate
+// processor owns a fixed util::ThreadPool and the VM fans independent work
+// out across it — set-operator arms, or/and-children, join inputs, the
+// probe side of hash joins, class-conformance filters, and per-candidate
 // backward expansion. Every fan-out merges by *input order* (ordered
 // merge), so rows, columns, scores, and expanded_views are identical to a
 // serial run; only diagnostics (elapsed time, and in rare short-circuit
@@ -80,13 +81,6 @@ class QueryProcessor {
     kBackward,  ///< always BFS up from the candidates
   };
 
-  /// Which execution engine evaluates queries (DESIGN.md §16).
-  enum class Engine {
-    kInterp,  ///< tree-walking interpreter (the original evaluator)
-    kVm,      ///< planner + bytecode VM over batched postings (default)
-    kBoth,    ///< run both, assert byte-identical results (differential)
-  };
-
   struct Options {
     /// Cap on nodes touched by forward expansion per step.
     size_t max_expansion = 5U << 20;
@@ -103,9 +97,6 @@ class QueryProcessor {
     /// Minimum items per chunk before an element-wise scan is split
     /// across the pool (fan-out overhead guard).
     size_t min_parallel_chunk = 256;
-    /// Execution engine. The IDM_QUERY_ENGINE environment variable
-    /// ("interp" | "vm" | "both") overrides this at construction time.
-    Engine engine = Engine::kVm;
   };
 
   /// All pointers must outlive the processor. \p clock provides now() /
@@ -144,22 +135,18 @@ class QueryProcessor {
   /// once and execute many times.
   std::unique_ptr<PlanProgram> Plan(const Query& query) const;
 
-  /// Evaluates a pre-compiled \p program for \p query, honoring the
-  /// engine option exactly like the plain overload (the interpreter path
-  /// still walks \p query; the VM path executes \p program).
-  Result<QueryResult> Evaluate(const Query& query, const PlanProgram& program,
+  /// Executes a pre-compiled \p program (from Plan()) exactly like the
+  /// plain overloads, without planning again.
+  Result<QueryResult> Evaluate(const PlanProgram& program,
                                util::ExecContext* ctx,
                                obs::TraceSpan* span) const;
 
   const Options& options() const { return options_; }
 
-  /// Engine-dispatch counters (cumulative since construction).
+  /// Engine counters (cumulative since construction).
   struct EngineStats {
-    uint64_t plans = 0;        ///< programs compiled by Plan()
-    uint64_t interp_runs = 0;  ///< interpreter evaluations
-    uint64_t vm_runs = 0;      ///< VM evaluations
-    uint64_t both_runs = 0;    ///< differential double-evaluations
-    uint64_t mismatches = 0;   ///< divergences detected in kBoth mode
+    uint64_t plans = 0;    ///< programs compiled by Plan()
+    uint64_t vm_runs = 0;  ///< VM evaluations
   };
   EngineStats engine_stats() const;
 
@@ -174,44 +161,36 @@ class QueryProcessor {
   /// therefore O(changed views) incremental maintenance (DESIGN.md §14).
   static bool SupportsMatchesDoc(const Query& query);
 
-  /// Per-view membership oracle for SupportsMatchesDoc shapes: true iff
-  /// the live view \p id is in the query's (unordered) result set right
-  /// now. Dead/unknown ids are simply not members. Unsupported shapes
+  /// The per-view membership test of a SupportsMatchesDoc query: the path
+  /// step's name pattern ("" for filters) and its predicate lowered to a
+  /// pred program (null when there is no predicate).
+  struct MatchPlan {
+    std::string name_pattern;
+    std::shared_ptr<const PlanProgram> predicate;
+  };
+
+  /// Compiles \p query's membership test once (a serial pred program, so
+  /// a one-view batch never fans out to the pool). Unsupported shapes
   /// return InvalidArgument.
-  Result<bool> MatchesDoc(const Query& query, index::DocId id) const;
+  Result<MatchPlan> PlanMatch(const Query& query) const;
+
+  /// True iff the live view \p id is in the (unordered) result set of the
+  /// query \p plan was compiled from, right now. Dead/unknown ids are
+  /// simply not members.
+  Result<bool> MatchesDoc(const MatchPlan& plan, index::DocId id) const;
 
   /// The evaluation pool (null when threads <= 1) — exposed so the facade
   /// can sample its telemetry for DataspaceStats.
   util::ThreadPool* pool() const { return pool_.get(); }
 
  private:
-  class Evaluation;
-
-  /// The three engine paths behind Evaluate(): RunInterp walks the tree,
-  /// RunVm executes \p program (compiling on the spot when null), RunBoth
-  /// runs both and compares. All share the Finish() epilogue.
-  Result<QueryResult> RunInterp(const Query& query, util::ExecContext* ctx,
-                                obs::TraceSpan* span) const;
-  Result<QueryResult> RunVm(const Query& query, const PlanProgram* program,
-                            util::ExecContext* ctx,
-                            obs::TraceSpan* span) const;
-  Result<QueryResult> RunBoth(const Query& query, const PlanProgram* program,
-                              util::ExecContext* ctx,
-                              obs::TraceSpan* span) const;
-  Result<QueryResult> Finish(Result<QueryResult> run, Micros start,
-                             util::ExecContext* ctx,
-                             obs::TraceSpan* span) const;
-
   const rvm::ReplicaIndexesModule* module_;
   const core::ClassRegistry* classes_;
   Clock* clock_;
   Options options_;
   std::unique_ptr<util::ThreadPool> pool_;  ///< null when threads <= 1
   mutable std::atomic<uint64_t> plans_{0};
-  mutable std::atomic<uint64_t> interp_runs_{0};
   mutable std::atomic<uint64_t> vm_runs_{0};
-  mutable std::atomic<uint64_t> both_runs_{0};
-  mutable std::atomic<uint64_t> mismatches_{0};
 };
 
 }  // namespace idm::iql

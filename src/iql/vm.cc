@@ -58,17 +58,16 @@ std::vector<DocId> Difference(const std::vector<DocId>& a,
   return out;
 }
 
-/// Live-id cache shared between a run and its parallel children, exactly
-/// like the interpreter's (computed at most once per query).
+/// Live-id cache shared between a run and its parallel children (computed
+/// at most once per query).
 struct LiveCache {
   std::once_flag once;
   Batch ids;
 };
 
-/// Mutable per-run state, the VM's analogue of one Evaluation object:
-/// rule firings, probe counts and expansion work accumulate here and
-/// parallel children get their own copies that the parent absorbs back in
-/// input order.
+/// Mutable per-run state: rule firings, probe counts and expansion work
+/// accumulate here and parallel children get their own copies that the
+/// parent absorbs back in input order.
 struct VmState {
   const rvm::ReplicaIndexesModule& module;
   const core::ClassRegistry& classes;
@@ -158,8 +157,8 @@ struct VmState {
   }
 };
 
-/// Redirects the state's span into a named child for the enclosing scope
-/// (the interpreter's SpanScope).
+/// Redirects the state's span into a named child for the enclosing scope;
+/// nested probes/steps attach underneath. A no-op when untraced.
 struct SpanScope {
   SpanScope(VmState* st, const char* name) : st_(st), saved_(st->span) {
     span_ = saved_ == nullptr ? nullptr : saved_->AddChild(name);
@@ -225,10 +224,12 @@ core::Value ResolveLiteral(const VmState& st, const PlanProgram& program,
   return program.literals[op.aux];
 }
 
-/// Parallel and/or group: the interpreter's EvalChildrenParallel plus its
-/// input-order fold (including the AND fold's short-circuit, which skips
-/// absorbing the remaining children's statistics once the accumulator
-/// empties — diagnostics must match the interpreter's, not just rows).
+/// Parallel and/or group: evaluates every child against the incoming
+/// universe, then folds in input order. Predicates are intersective
+/// (pred(X) == X ∩ pred(U) for X ⊆ U), so this equals the serial
+/// narrowing chain; the AND fold keeps the serial short-circuit, skipping
+/// the remaining children's statistics once the accumulator empties, so
+/// diagnostics match the serial program's too.
 Result<Batch> ExecParGroup(VmState& st, const PlanProgram& program,
                            const PlanOp& op, const Batch& universe) {
   const size_t n = op.b;
@@ -266,7 +267,8 @@ Result<Batch> ExecParGroup(VmState& st, const PlanProgram& program,
   return MakeBatch(std::move(acc));
 }
 
-/// Descendant step (the interpreter's R4/R6 branch of EvalPath).
+/// Descendant step: R4 forward expansion from the frontier, or R6 backward
+/// parent-BFS per candidate when candidates are few (the Q8 shape).
 Batch ExecExpand(VmState& st, const Batch& frontier_b, const Batch& names_b) {
   const std::vector<DocId>& frontier = *frontier_b;
   const std::vector<DocId>& name_set = *names_b;
@@ -371,8 +373,8 @@ Batch ExecStepChild(VmState& st, const Batch& frontier_b,
   return MakeBatch(Intersect(children, *names_b));
 }
 
-/// union/intersect/except fold over the sub-programs (the interpreter's
-/// EvalSetOp: parallel arms in child states, serial arms on this state).
+/// union/intersect/except fold over the sub-programs (parallel arms in
+/// child states, serial arms on this state).
 Result<Batch> ExecSetOp(VmState& st, const PlanProgram& program,
                         const PlanOp& op) {
   struct ArmOut {
@@ -458,7 +460,7 @@ Result<std::optional<std::string>> JoinKey(VmState& st, DocId id,
   return std::optional<std::string>();
 }
 
-/// Hash join (R5), the interpreter's EvalJoin including its doom handling.
+/// Hash join (R5): hashes the smaller input, probes with the other.
 Status ExecJoin(VmState& st, const PlanProgram& program, QueryResult* result) {
   const JoinInfo& join = *program.join;
   QueryResult left, right;
@@ -582,8 +584,8 @@ Status ExecJoin(VmState& st, const PlanProgram& program, QueryResult* result) {
   return Status::OK();
 }
 
-/// tf-idf ranking (§5.1), the interpreter's RankIfKeywordQuery over the
-/// program's precollected phrases.
+/// tf-idf ranking (§5.1) over the program's precollected phrases: pure
+/// keyword queries get descending-score row order (ties by id).
 void RankRows(VmState& st, const PlanProgram& program, QueryResult* result) {
   if (!program.rankable || program.rank_phrases.empty() ||
       result->rows.empty()) {
@@ -631,6 +633,7 @@ Status ExecOps(VmState& st, const PlanProgram& program,
       case OpCode::kRootChildren: {
         std::vector<DocId> out;
         for (DocId id : st.AllLive()) {
+          if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
           if (st.module.groups().Parents(id).empty()) {
             const auto& children = st.module.groups().Children(id);
             out.insert(out.end(), children.begin(), children.end());
@@ -650,8 +653,8 @@ Status ExecOps(VmState& st, const PlanProgram& program,
         obs::ScopedSpan probe_span(st.span, "index.content.phrase");
         const std::string& text = program.strings[op.str];
         // Ungoverned runs take the block-compressed fast path; governed
-        // runs issue the classic per-posting-ticking scan so the step
-        // schedule (and any truncation point) matches the interpreter.
+        // runs take the classic scan, which ticks per posting (the step
+        // schedule the governance goldens pin).
         std::vector<DocId> hits =
             st.ctx == nullptr ? st.module.content().PhraseDocs(text)
                               : st.module.content().PhraseQuery(text, st.ctx);
@@ -737,9 +740,9 @@ Status ExecOps(VmState& st, const PlanProgram& program,
       case OpCode::kMaterialize: {
         result->columns = {""};
         const std::vector<DocId>& ids = *regs[op.a];
-        // §10 prefix capture, the interpreter's Unary: only the root
-        // materialization is governed; a family doomed before the loop
-        // keeps the empty prefix.
+        // §10 prefix capture: only the root materialization is governed;
+        // a family doomed before the loop may have truncated index scans
+        // upstream, so it keeps the empty prefix.
         const bool governed = (op.flags & 1) != 0 && st.ctx != nullptr;
         if (governed && st.ctx->doomed()) break;
         result->rows.reserve(ids.size());
@@ -803,6 +806,16 @@ Result<QueryResult> Vm::Run(const Env& env, const PlanProgram& program,
   LiveCache live;
   VmState state(env, &live, ctx, span);
   return RunQueryProgram(state, program);
+}
+
+Result<std::vector<DocId>> Vm::RunPred(const Env& env,
+                                       const PlanProgram& program,
+                                       std::vector<DocId> universe) {
+  LiveCache live;
+  VmState state(env, &live, nullptr, nullptr);
+  Batch seed = MakeBatch(std::move(universe));
+  IDM_ASSIGN_OR_RETURN(Batch ids, RunPredProgram(state, program, seed));
+  return *ids;
 }
 
 }  // namespace idm::iql

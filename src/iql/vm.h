@@ -1,15 +1,16 @@
 // Bytecode VM (DESIGN.md §16): executes the PlanPrograms the Planner
 // lowers, vector-at-a-time — every register holds one batch of sorted
 // candidate view ids, shared (not copied) between ops that merely forward
-// it. The VM is behavior-compatible with the tree-walking interpreter by
-// construction: governed runs issue the same index calls with the same
-// ExecContext in the same order (identical tick schedule and §10 prefix
-// degradation at threads = 1), parallel sub-programs fan out over the same
-// pool with the same input-order merges, and rule/probe/span bookkeeping
-// matches the interpreter's names. Ungoverned runs take the fast lane:
-// phrase predicates are answered from the inverted index's block-compressed
-// postings (skip-pointer intersection, positions decoded only for
-// survivors) instead of full posting-list decodes.
+// it. It is the only query evaluator; tests/iql/reference_eval.h is the
+// naive set-semantics oracle its rows, columns and scores are checked
+// against. Governed runs tick the ExecContext in every loop over views or
+// postings (a deterministic tick schedule and §10 prefix degradation at
+// threads = 1, pinned by goldens); parallel sub-programs fan out over the
+// processor's pool with input-order merges, so results never depend on
+// the thread count. Ungoverned runs take the fast lane: phrase predicates
+// are answered from the inverted index's block-compressed postings
+// (skip-pointer intersection, positions decoded only for survivors)
+// instead of full posting-list decodes.
 
 #ifndef IDM_IQL_VM_H_
 #define IDM_IQL_VM_H_
@@ -33,12 +34,19 @@ class Vm {
     util::ThreadPool* pool;  ///< null when threads <= 1
   };
 
-  /// Runs the root \p program. Like Evaluation::Run this returns the raw
-  /// result — elapsed time, governance meta and root span attributes are
-  /// filled in by QueryProcessor::Evaluate's shared epilogue.
+  /// Runs the root \p program and returns the raw result — elapsed time,
+  /// governance meta and root span attributes are filled in by
+  /// QueryProcessor::Evaluate.
   static Result<QueryResult> Run(const Env& env, const PlanProgram& program,
                                  util::ExecContext* ctx,
                                  obs::TraceSpan* span);
+
+  /// Runs the pred-flavored \p program (Planner::LowerPredProgram),
+  /// ungoverned and untraced, over \p universe (sorted ids); returns the
+  /// ids of \p universe the predicate holds for.
+  static Result<std::vector<index::DocId>> RunPred(
+      const Env& env, const PlanProgram& program,
+      std::vector<index::DocId> universe);
 };
 
 }  // namespace idm::iql

@@ -114,6 +114,28 @@ TEST_F(GovernanceTest, RankedResultsDegradeToEmptyNotToWrongOrder) {
             std::string::npos);
 }
 
+TEST_F(GovernanceTest, RootChildrenScanHonorsStepBudget) {
+  // A child-axis first step scans every live view for the parentless
+  // roots. That scan ticks like every other loop over views, so a step
+  // budget stops it even when no name matches, and steps_used counts it.
+  const size_t live = ds_->module().catalog().live_count();
+  ASSERT_GT(live, 1u);
+  Dataspace::QueryOptions options;
+  options.limits.max_steps = 1;
+  auto stopped = ds_->Query("/nosuchname", options);
+  ASSERT_TRUE(stopped.ok()) << stopped.status();
+  EXPECT_FALSE(stopped->meta.complete);
+  EXPECT_EQ(stopped->size(), 0u);
+  EXPECT_NE(stopped->meta.degraded_reason.find("step budget"),
+            std::string::npos);
+
+  options.limits.max_steps = 100 * live;
+  auto counted = ds_->Query("/nosuchname", options);
+  ASSERT_TRUE(counted.ok()) << counted.status();
+  EXPECT_TRUE(counted->meta.complete);
+  EXPECT_GE(counted->meta.steps_used, live);
+}
+
 TEST_F(GovernanceTest, MemoryBudgetOverrunDegradesGracefully) {
   Dataspace::QueryOptions options;
   options.limits.memory_limit_bytes = 256;

@@ -1,22 +1,23 @@
-// Differential tests for the compiled query engine (DESIGN.md §16).
+// Reference-oracle tests for the query engine (DESIGN.md §16).
 //
-// Contract under test: the bytecode VM is byte-identical to the
-// tree-walking interpreter on every observable surface — columns, rows
-// (order included), tf-idf scores (bitwise), expanded_views, probe
-// counts, the plan/rule annotation, and (at threads = 1) even the
-// governed step schedule and §10 degraded partial-result prefixes.
-// Coverage: the Table 4 analog catalog, a seeded random query generator
-// over the workload vocabulary (the fuzz corpus), thread counts 1/2/4/8,
-// cache on/off, and step budgets.
+// Contract under test: the bytecode VM answers every query exactly like
+// the deliberately naive ReferenceEvaluator (reference_eval.h) — columns,
+// rows (order included) and tf-idf scores (bitwise) — over the Table 4
+// analog catalog, extra operator shapes and a seeded random query
+// generator over the workload vocabulary (the fuzz corpus), at thread
+// counts 1/2/4/8. MatchesDoc, the subscription fast path, is checked view
+// by view against the oracle's result sets. At threads = 1 the governed
+// step schedule is pinned by goldens and every §10 degraded result must be
+// a prefix of the complete one.
 //
 // The suite also pins the Prepare/Explain handle API: golden Explain()
 // listings for the Table 4 shapes, plan-keyed result-cache sharing across
 // reordered conjuncts (the §16 cache-key fix), and the PreparedQuery
 // lifecycle.
 
-#include <cstdlib>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -28,43 +29,12 @@
 #include "iql/plan.h"
 #include "iql/prepared_query.h"
 #include "iql/query_processor.h"
+#include "reference_eval.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
 namespace idm::iql {
 namespace {
-
-using Engine = QueryProcessor::Engine;
-
-/// Pins (or clears) IDM_QUERY_ENGINE for a scope, so the suite asserts the
-/// same engine behavior regardless of how the outer ctest run sweeps the
-/// environment knob.
-class EngineEnvGuard {
- public:
-  explicit EngineEnvGuard(const char* value) {
-    const char* old = std::getenv("IDM_QUERY_ENGINE");
-    had_ = old != nullptr;
-    if (had_) saved_ = old;
-    if (value == nullptr) {
-      unsetenv("IDM_QUERY_ENGINE");
-    } else {
-      setenv("IDM_QUERY_ENGINE", value, 1);
-    }
-  }
-  ~EngineEnvGuard() {
-    if (had_) {
-      setenv("IDM_QUERY_ENGINE", saved_.c_str(), 1);
-    } else {
-      unsetenv("IDM_QUERY_ENGINE");
-    }
-  }
-  EngineEnvGuard(const EngineEnvGuard&) = delete;
-  EngineEnvGuard& operator=(const EngineEnvGuard&) = delete;
-
- private:
-  bool had_ = false;
-  std::string saved_;
-};
 
 /// The Table 4 analog queries (same strings as bench/harness.cc and
 /// loadgen's QueryCatalog).
@@ -99,6 +69,8 @@ const std::vector<std::string>& ExtraQueries() {
       "except(\"database\", \"tuning\")",
       "intersect(//papers//*, union(\"database\", \"systems\"))",
       "//INBOX//*",
+      "/*",
+      "/*//*.tex",
   };
   return kQueries;
 }
@@ -186,14 +158,22 @@ std::string RandomQuery(Rng* rng, int depth) {
   }
 }
 
+/// The fuzz corpus: a fixed seeded draw from the generator above.
+const std::vector<std::string>& FuzzCorpus() {
+  static const std::vector<std::string> kCorpus = [] {
+    std::vector<std::string> corpus;
+    Rng rng(0xC0FFEE);
+    for (int i = 0; i < 300; ++i) corpus.push_back(RandomQuery(&rng, 0));
+    return corpus;
+  }();
+  return kCorpus;
+}
+
 // ---------------------------------------------------------------------------
 
 class VmDifferentialTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    // Pin the shared dataspace to the VM engine so cache / prepared /
-    // golden assertions are stable under outer IDM_QUERY_ENGINE sweeps.
-    EngineEnvGuard guard("vm");
     ds_ = new Dataspace();
     workload::BuiltDataspace built =
         workload::Generate(workload::DataspaceSpec::Small(), ds_->clock());
@@ -209,31 +189,40 @@ class VmDifferentialTest : public ::testing::Test {
     ds_ = nullptr;
   }
 
-  static std::unique_ptr<QueryProcessor> MakeProcessor(size_t threads,
-                                                       Engine engine) {
-    EngineEnvGuard guard(nullptr);  // the explicit option must win
+  static std::unique_ptr<QueryProcessor> MakeProcessor(Dataspace& ds,
+                                                       size_t threads) {
     QueryProcessor::Options options;
-    options.engine = engine;
     options.threads = threads;
     // Force chunked scans onto the pool even at Small scale.
     options.min_parallel_chunk = threads > 1 ? 8 : 256;
-    return std::make_unique<QueryProcessor>(&ds_->module(), &ds_->classes(),
-                                            ds_->clock(), options);
+    return std::make_unique<QueryProcessor>(&ds.module(), &ds.classes(),
+                                            ds.clock(), options);
+  }
+  static std::unique_ptr<QueryProcessor> MakeProcessor(size_t threads) {
+    return MakeProcessor(*ds_, threads);
   }
 
-  static void ExpectSameResult(const QueryResult& interp,
-                               const QueryResult& vm, const std::string& query,
-                               size_t threads) {
+  static ReferenceEvaluator Reference(Dataspace& ds) {
+    return ReferenceEvaluator(&ds.module(), &ds.classes(), ds.clock());
+  }
+
+  /// The VM's answer must be the oracle's: same success, same error text,
+  /// and for results the same columns, rows (order included) and scores
+  /// (bitwise: same accumulation order).
+  static void ExpectMatchesReference(const Result<QueryResult>& expected,
+                                     const Result<QueryResult>& vm,
+                                     const std::string& query,
+                                     size_t threads) {
     SCOPED_TRACE("query=" + query + " threads=" + std::to_string(threads));
-    EXPECT_EQ(interp.columns, vm.columns);
-    EXPECT_EQ(interp.rows, vm.rows);  // order included
-    EXPECT_EQ(interp.scores, vm.scores);  // bitwise: same accumulation order
-    EXPECT_EQ(interp.expanded_views, vm.expanded_views);
-    EXPECT_EQ(interp.plan, vm.plan);  // includes the [rules: ...] ledger
-    EXPECT_EQ(interp.probes.name_lookups, vm.probes.name_lookups);
-    EXPECT_EQ(interp.probes.content_phrases, vm.probes.content_phrases);
-    EXPECT_EQ(interp.probes.tuple_scans, vm.probes.tuple_scans);
-    EXPECT_EQ(interp.probes.graph_walks, vm.probes.graph_walks);
+    ASSERT_EQ(expected.ok(), vm.ok())
+        << (vm.ok() ? expected.status() : vm.status()).ToString();
+    if (!expected.ok()) {
+      EXPECT_EQ(expected.status().ToString(), vm.status().ToString());
+      return;
+    }
+    EXPECT_EQ(expected->columns, vm->columns);
+    EXPECT_EQ(expected->rows, vm->rows);
+    EXPECT_EQ(expected->scores, vm->scores);
   }
 
   static Dataspace* ds_;
@@ -243,119 +232,190 @@ class VmDifferentialTest : public ::testing::Test {
 Dataspace* VmDifferentialTest::ds_ = nullptr;
 workload::BuiltDataspace* VmDifferentialTest::built_ = nullptr;
 
-// --- engine differential ----------------------------------------------------
+// --- reference oracle -------------------------------------------------------
 
-TEST_F(VmDifferentialTest, VmMatchesInterpOnCatalogAllThreadCounts) {
+TEST_F(VmDifferentialTest, VmMatchesReferenceOnCatalogAllThreadCounts) {
+  ReferenceEvaluator reference = Reference(*ds_);
+  std::vector<std::string> queries = Table4Queries();
+  queries.insert(queries.end(), ExtraQueries().begin(), ExtraQueries().end());
+  std::vector<Result<QueryResult>> expected;
+  for (const std::string& text : queries) {
+    Result<Query> query = ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text;
+    expected.push_back(reference.Evaluate(*query));
+    ASSERT_TRUE(expected.back().ok()) << text;
+  }
+  std::vector<QueryResult> serial;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    std::unique_ptr<QueryProcessor> interp =
-        MakeProcessor(threads, Engine::kInterp);
-    std::unique_ptr<QueryProcessor> vm = MakeProcessor(threads, Engine::kVm);
-    for (const auto& queries : {Table4Queries(), ExtraQueries()}) {
-      for (const std::string& query : queries) {
-        Result<QueryResult> a = interp->Execute(query);
-        Result<QueryResult> b = vm->Execute(query);
-        ASSERT_EQ(a.ok(), b.ok()) << query;
-        if (!a.ok()) continue;
-        ExpectSameResult(*a, *b, query, threads);
+    std::unique_ptr<QueryProcessor> vm = MakeProcessor(threads);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      Result<QueryResult> got = vm->Execute(queries[i]);
+      ExpectMatchesReference(expected[i], got, queries[i], threads);
+      if (!got.ok()) continue;
+      // Diagnostics are the engine's own; the pool must not move them.
+      if (threads == 1) {
+        serial.push_back(*got);
+        continue;
       }
+      SCOPED_TRACE("query=" + queries[i] + " threads=" +
+                   std::to_string(threads));
+      EXPECT_EQ(got->plan, serial[i].plan);  // includes the rules ledger
+      EXPECT_EQ(got->expanded_views, serial[i].expanded_views);
+      EXPECT_EQ(got->probes.name_lookups, serial[i].probes.name_lookups);
+      EXPECT_EQ(got->probes.content_phrases, serial[i].probes.content_phrases);
+      EXPECT_EQ(got->probes.tuple_scans, serial[i].probes.tuple_scans);
+      EXPECT_EQ(got->probes.graph_walks, serial[i].probes.graph_walks);
     }
-    EXPECT_GT(interp->engine_stats().interp_runs, 0u);
-    EXPECT_GT(vm->engine_stats().vm_runs, 0u);
-    EXPECT_EQ(vm->engine_stats().interp_runs, 0u);
+    EXPECT_EQ(vm->engine_stats().vm_runs, queries.size());
+    EXPECT_EQ(vm->engine_stats().plans, queries.size());
+  }
+  // Every Table 4 analog but Q3 (its size bound is above every Small
+  // file) answers something, so the comparison is not vacuous.
+  for (size_t i = 0; i < Table4Queries().size(); ++i) {
+    EXPECT_EQ(expected[i]->rows.empty(), i == 2) << queries[i];
   }
 }
 
 TEST_F(VmDifferentialTest, FuzzGeneratedQueriesAgree) {
-  size_t parsed_count = 0;
-  for (size_t threads : {1u, 4u}) {
-    std::unique_ptr<QueryProcessor> interp =
-        MakeProcessor(threads, Engine::kInterp);
-    std::unique_ptr<QueryProcessor> vm = MakeProcessor(threads, Engine::kVm);
-    Rng rng(0xC0FFEE ^ threads);
-    for (int i = 0; i < 150; ++i) {
-      std::string text = RandomQuery(&rng, 0);
-      SCOPED_TRACE("fuzz[" + std::to_string(i) + "] " + text);
-      Result<Query> query = ParseQuery(text);
-      if (!query.ok()) continue;  // generator can overrun parser limits
-      ++parsed_count;
-      Result<QueryResult> a = interp->Evaluate(*query);
-      Result<QueryResult> b = vm->Evaluate(*query);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (!a.ok()) {
-        EXPECT_EQ(a.status().ToString(), b.status().ToString());
-        continue;
-      }
-      ExpectSameResult(*a, *b, text, threads);
+  ReferenceEvaluator reference = Reference(*ds_);
+  std::vector<Query> parsed;
+  std::vector<std::string> texts;
+  for (const std::string& text : FuzzCorpus()) {
+    Result<Query> query = ParseQuery(text);
+    if (!query.ok()) continue;  // generator can overrun parser limits
+    parsed.push_back(std::move(*query));
+    texts.push_back(text);
+  }
+  ASSERT_GT(parsed.size(), 200u);  // the grammar must mostly parse
+  std::vector<Result<QueryResult>> expected;
+  size_t nonempty = 0;
+  for (const Query& query : parsed) {
+    expected.push_back(reference.Evaluate(query));
+    if (expected.back().ok() && !expected.back()->rows.empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, parsed.size() / 4);  // most draws are not vacuous
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    std::unique_ptr<QueryProcessor> vm = MakeProcessor(threads);
+    for (size_t i = 0; i < parsed.size(); ++i) {
+      ExpectMatchesReference(expected[i], vm->Evaluate(parsed[i]), texts[i],
+                             threads);
     }
   }
-  EXPECT_GT(parsed_count, 200u);  // the grammar must mostly parse
 }
 
-TEST_F(VmDifferentialTest, GovernedStepBudgetsDegradeIdentically) {
-  // At threads = 1 the engines issue identical tick sequences, so the
-  // doom point — and therefore the §10 degraded partial-result prefix and
-  // the step counter — must match exactly, for every budget.
-  std::unique_ptr<QueryProcessor> interp = MakeProcessor(1, Engine::kInterp);
-  std::unique_ptr<QueryProcessor> vm = MakeProcessor(1, Engine::kVm);
-  for (uint64_t budget : {1u, 7u, 33u, 250u, 5000u}) {
-    for (const std::string& query : Table4Queries()) {
-      SCOPED_TRACE("budget=" + std::to_string(budget) + " query=" + query);
+TEST_F(VmDifferentialTest, MatchesDocAgreesWithReference) {
+  // A private Small dataspace with a deleted subtree, so dead ids are in
+  // the catalog next to the live ones.
+  Dataspace local;
+  workload::BuiltDataspace built =
+      workload::Generate(workload::DataspaceSpec::Small(), local.clock());
+  ASSERT_TRUE(local.AddFileSystem("Filesystem", built.fs).ok());
+  ASSERT_TRUE(local.AddImap("Email / IMAP", built.imap).ok());
+  auto update = local.ExecuteUpdate("delete //papers//*.tex");
+  ASSERT_TRUE(update.ok()) << update.status();
+  ASSERT_GT(update->deleted, 0u);
+
+  const index::Catalog& catalog = local.module().catalog();
+  std::vector<index::DocId> ids;
+  std::optional<index::DocId> deleted;
+  for (index::DocId id = 0; id < catalog.total_count(); ++id) {
+    if (!catalog.Entry(id)->deleted) {
+      ids.push_back(id);
+    } else if (!deleted.has_value()) {
+      deleted = id;
+    }
+  }
+  ASSERT_TRUE(deleted.has_value());
+  ids.push_back(*deleted);
+  ids.push_back(catalog.total_count() + 17);  // never registered
+
+  std::vector<std::string> texts = Table4Queries();
+  texts.insert(texts.end(), ExtraQueries().begin(), ExtraQueries().end());
+  texts.insert(texts.end(), FuzzCorpus().begin(), FuzzCorpus().end());
+  ReferenceEvaluator reference = Reference(local);
+  std::vector<Query> shapes;
+  std::vector<std::set<index::DocId>> members;
+  for (const std::string& text : texts) {
+    Result<Query> query = ParseQuery(text);
+    if (!query.ok() || !QueryProcessor::SupportsMatchesDoc(*query)) continue;
+    Result<std::set<index::DocId>> expected = reference.Members(*query);
+    ASSERT_TRUE(expected.ok()) << text;
+    members.push_back(std::move(*expected));
+    shapes.push_back(std::move(*query));
+  }
+  ASSERT_GT(shapes.size(), 50u);
+  for (size_t threads : {1u, 4u}) {
+    std::unique_ptr<QueryProcessor> vm = MakeProcessor(local, threads);
+    for (size_t s = 0; s < shapes.size(); ++s) {
+      SCOPED_TRACE("shape=" + ToString(shapes[s]) +
+                   " threads=" + std::to_string(threads));
+      // The full evaluation agrees with the oracle on the mutated catalog.
+      Result<QueryResult> full = vm->Evaluate(shapes[s]);
+      ASSERT_TRUE(full.ok());
+      std::set<index::DocId> rows;
+      for (const auto& row : full->rows) rows.insert(row[0]);
+      EXPECT_EQ(rows, members[s]);
+      Result<QueryProcessor::MatchPlan> plan = vm->PlanMatch(shapes[s]);
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      for (index::DocId id : ids) {
+        Result<bool> hit = vm->MatchesDoc(*plan, id);
+        ASSERT_TRUE(hit.ok()) << hit.status();
+        EXPECT_EQ(*hit, members[s].count(id) > 0) << "id=" << id;
+      }
+    }
+  }
+  // Unsupported shapes are refused, not guessed.
+  Result<Query> ranked = ParseQuery("\"database\"");
+  ASSERT_TRUE(ranked.ok());
+  EXPECT_FALSE(MakeProcessor(local, 1)->PlanMatch(*ranked).ok());
+}
+
+TEST_F(VmDifferentialTest, GovernedStepBudgetsKeepGoldenSchedule) {
+  // At threads = 1 governed evaluation is deterministic: the steps a
+  // complete governed run counts are pinned per Table 4 query, and every
+  // budgeted run degrades to a prefix of the complete result (§10) —
+  // the empty one for ranked queries, whose order is not a
+  // materialization order.
+  const std::vector<uint64_t> kCompleteSteps = {10,  8,    0,    436,
+                                                85,  2068, 2272, 1741};
+  const std::vector<bool> kRanked = {true,  true,  false, false,
+                                     false, false, false, false};
+  std::unique_ptr<QueryProcessor> vm = MakeProcessor(1);
+  ASSERT_EQ(kCompleteSteps.size(), Table4Queries().size());
+  for (size_t q = 0; q < Table4Queries().size(); ++q) {
+    const std::string& query = Table4Queries()[q];
+    SCOPED_TRACE("Q" + std::to_string(q + 1) + " " + query);
+    Result<QueryResult> plain = vm->Execute(query);
+    util::ExecContext unlimited(ds_->clock(), util::ExecContext::Limits());
+    Result<QueryResult> complete = vm->Execute(query, &unlimited);
+    ASSERT_TRUE(plain.ok() && complete.ok());
+    ASSERT_TRUE(complete->meta.complete);
+    EXPECT_EQ(complete->meta.steps_used, kCompleteSteps[q]);
+    EXPECT_EQ(complete->rows, plain->rows);
+    EXPECT_EQ(complete->scores, plain->scores);
+    EXPECT_EQ(complete->ranked(), kRanked[q]);
+    for (uint64_t budget : {1u, 7u, 33u, 250u, 5000u}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget));
       util::ExecContext::Limits limits;
       limits.max_steps = budget;
-      util::ExecContext actx(ds_->clock(), limits);
-      util::ExecContext bctx(ds_->clock(), limits);
-      Result<QueryResult> a = interp->Execute(query, &actx);
-      Result<QueryResult> b = vm->Execute(query, &bctx);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (!a.ok()) continue;
-      EXPECT_EQ(a->meta.complete, b->meta.complete);
-      EXPECT_EQ(a->meta.steps_used, b->meta.steps_used);
-      EXPECT_EQ(a->rows, b->rows);  // identical degraded prefix
-      EXPECT_EQ(a->scores, b->scores);
+      util::ExecContext ctx(ds_->clock(), limits);
+      Result<QueryResult> run = vm->Execute(query, &ctx);
+      ASSERT_TRUE(run.ok());
+      EXPECT_EQ(run->meta.complete, budget >= kCompleteSteps[q]);
+      if (run->meta.complete) {
+        EXPECT_EQ(run->rows, complete->rows);
+        EXPECT_EQ(run->scores, complete->scores);
+        EXPECT_EQ(run->meta.steps_used, kCompleteSteps[q]);
+        continue;
+      }
+      ASSERT_LE(run->rows.size(), complete->rows.size());
+      EXPECT_TRUE(std::equal(run->rows.begin(), run->rows.end(),
+                             complete->rows.begin()));
+      if (kRanked[q]) {
+        EXPECT_TRUE(run->rows.empty());
+        EXPECT_TRUE(run->scores.empty());
+      }
     }
-  }
-}
-
-TEST_F(VmDifferentialTest, BothModeAssertsAgreementInline) {
-  std::unique_ptr<QueryProcessor> both = MakeProcessor(1, Engine::kBoth);
-  for (const std::string& query : Table4Queries()) {
-    Result<QueryResult> result = both->Execute(query);
-    EXPECT_TRUE(result.ok()) << query << ": " << result.status().ToString();
-  }
-  // Governed both-mode: the comparator also checks degraded prefixes.
-  util::ExecContext::Limits limits;
-  limits.max_steps = 40;
-  util::ExecContext ctx(ds_->clock(), limits);
-  Result<QueryResult> governed = both->Execute("\"database\"", &ctx);
-  ASSERT_TRUE(governed.ok()) << governed.status().ToString();
-  QueryProcessor::EngineStats stats = both->engine_stats();
-  EXPECT_GT(stats.both_runs, 0u);
-  EXPECT_EQ(stats.mismatches, 0u);
-}
-
-TEST_F(VmDifferentialTest, EngineKnobSelectsEngine) {
-  {
-    std::unique_ptr<QueryProcessor> p = MakeProcessor(1, Engine::kInterp);
-    ASSERT_TRUE(p->Execute("\"database\"").ok());
-    EXPECT_EQ(p->engine_stats().interp_runs, 1u);
-    EXPECT_EQ(p->engine_stats().vm_runs, 0u);
-  }
-  {
-    std::unique_ptr<QueryProcessor> p = MakeProcessor(1, Engine::kVm);
-    ASSERT_TRUE(p->Execute("\"database\"").ok());
-    EXPECT_EQ(p->engine_stats().vm_runs, 1u);
-    EXPECT_EQ(p->engine_stats().interp_runs, 0u);
-    EXPECT_GT(p->engine_stats().plans, 0u);
-  }
-  {
-    // The environment overrides the option at construction time.
-    EngineEnvGuard guard("interp");
-    QueryProcessor::Options options;
-    options.engine = Engine::kVm;
-    QueryProcessor p(&ds_->module(), &ds_->classes(), ds_->clock(), options);
-    ASSERT_TRUE(p.Execute("\"database\"").ok());
-    EXPECT_EQ(p.engine_stats().interp_runs, 1u);
-    EXPECT_EQ(p.engine_stats().vm_runs, 0u);
   }
 }
 
@@ -486,17 +546,16 @@ TEST_F(VmDifferentialTest, SubscribeAcceptsPreparedQuery) {
 
 // --- Explain goldens --------------------------------------------------------
 
-// Golden Explain() listings for every Table 4 shape. The fixture pins the
-// engine to "vm" and the dataspace processor is serial (threads = 1), so
-// the plan shape — and the FNV-1a fingerprint of the canonical key — is
-// stable across platforms. Goldens index into Table4Queries() by position.
+// Golden Explain() listings for every Table 4 shape. The dataspace
+// processor is serial (threads = 1), so the plan shape — and the FNV-1a
+// fingerprint of the canonical key — is stable across platforms. Goldens
+// index into Table4Queries() by position.
 TEST_F(VmDifferentialTest, ExplainGoldensForTable4Shapes) {
   const std::vector<std::string> kGoldens = {
       // Q1: ranked keyword.
       R"(query: "database"
 key: filter:"database"
 fingerprint: 0x6f7df765cda280be
-engine: vm
 program: filter regs=2 ranked
   0: r0 = live
   1: r1 = phrase "database" & r0
@@ -507,7 +566,6 @@ program: filter regs=2 ranked
       R"(query: "database tuning"
 key: filter:"database tuning"
 fingerprint: 0x83b36aafeff805d9
-engine: vm
 program: filter regs=2 ranked
   0: r0 = live
   1: r1 = phrase "database tuning" & r0
@@ -519,7 +577,6 @@ program: filter regs=2 ranked
       R"(query: (size > 420000 and lastmodified < @12.06.2005)
 key: filter:and(lastmodified < @12.06.2005, size > 420000)
 fingerprint: 0xc0a6c0eff7924f5f
-engine: vm
 program: filter regs=4
   0: r0 = live
   1: r1 = r0
@@ -534,7 +591,6 @@ program: filter regs=4
       R"(query: //papers//*Vision/*["Franklin"]
 key: path://papers//*Vision/*["Franklin"]
 fingerprint: 0x9b4cd29a39c5c62b
-engine: vm
 program: path regs=5
   0: r1 = name-match "papers"
   1: r0 = r1
@@ -552,7 +608,6 @@ program: path regs=5
       R"(query: //VLDB200?//?onclusion*/*["systems"]
 key: path://VLDB200?//?onclusion*/*["systems"]
 fingerprint: 0x9fe03a5213cef88f
-engine: vm
 program: path regs=5
   0: r1 = name-match "VLDB200?"
   1: r0 = r1
@@ -570,7 +625,6 @@ program: path regs=5
       R"(query: union(//VLDB2005//*["documents"], //VLDB2006//*["documents"])
 key: union(path://VLDB2005//*["documents"], path://VLDB2006//*["documents"])
 fingerprint: 0x11b6b046055cff7e
-engine: vm
 program: union regs=1
   0: r0 = union subs[0..2)
   1: materialize r0 governed
@@ -597,7 +651,6 @@ program: union regs=1
       R"(query: join(//VLDB2006//*[class="texref"] as A, //VLDB2006//*[class="environment"]//figure* as B, A.name=B.tuple.label)
 key: join(path://VLDB2006//*[class="texref"] as A, path://VLDB2006//*[class="environment"]//figure* as B, A.name=B.tuple.label)
 fingerprint: 0xfff64da5b60b56cb
-engine: vm
 program: join regs=0
   0: hash-join A.name = B.tuple.label
   left (A): path regs=4
@@ -626,7 +679,6 @@ program: join regs=0
       R"(query: join(//*[class="emailmessage"]//*.tex as A, //papers//*.tex as B, A.name=B.name)
 key: join(path://*[class="emailmessage"]//*.tex as A, path://papers//*.tex as B, A.name=B.name)
 fingerprint: 0xdb81c60c67b22b16
-engine: vm
 program: join regs=0
   0: hash-join A.name = B.name
   left (A): path regs=4

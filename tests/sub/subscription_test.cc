@@ -7,7 +7,7 @@
 // Part 2 goes through the Dataspace facade and runs the differential that
 // the subsystem's correctness rests on: after EVERY mutation round, the
 // incrementally maintained rows of each subscription must equal a fresh
-// full evaluation of the same query (the interpreter as oracle), and a
+// full evaluation of the same query (fresh evaluation as oracle), and a
 // client state folded from the delta stream must equal the maintained
 // rows. Query shapes cover the Table 4 families: phrase filter (ranked),
 // attribute filter, single- and multi-step paths, union, join.
