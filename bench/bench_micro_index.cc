@@ -69,6 +69,56 @@ void BM_InvertedIndexTerm(benchmark::State& state) {
 }
 BENCHMARK(BM_InvertedIndexTerm)->Arg(1000)->Arg(10000);
 
+/// A long document (~2,900 words, the size of a large desktop text file)
+/// indexed in the middle of \p n generated 120-word documents: the shape
+/// of an edit or delete that rewrites one view's postings in lists that
+/// already hold later documents.
+struct MidDocIndex {
+  index::InvertedIndex idx;
+  DocId mid = 0;
+  std::string texts[2];
+};
+
+MidDocIndex MakeMidDocIndex(size_t n) {
+  MidDocIndex out;
+  auto docs = MakeDocs(n, 120);
+  Rng rng(5);
+  workload::TextGenerator text(&rng);
+  out.texts[0] = text.Words(2900);
+  out.texts[1] = text.Words(2900);
+  out.mid = n / 2;
+  for (DocId id = 0; id < docs.size(); ++id) {
+    out.idx.AddDocument(id, id == out.mid ? out.texts[0] : docs[id]);
+  }
+  return out;
+}
+
+/// Re-indexing the long document: alternates two texts, so each pass
+/// replaces shared terms' records and removes/inserts the others.
+void BM_InvertedIndexReAdd(benchmark::State& state) {
+  MidDocIndex fixture = MakeMidDocIndex(static_cast<size_t>(state.range(0)));
+  size_t turn = 1;
+  for (auto _ : state) {
+    fixture.idx.AddDocument(fixture.mid, fixture.texts[turn]);
+    turn ^= 1;
+  }
+  benchmark::DoNotOptimize(fixture.idx.total_tokens());
+}
+BENCHMARK(BM_InvertedIndexReAdd)->Arg(1000)->Arg(8000);
+
+/// Deleting the long document (re-added untimed between iterations).
+void BM_InvertedIndexRemove(benchmark::State& state) {
+  MidDocIndex fixture = MakeMidDocIndex(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    fixture.idx.RemoveDocument(fixture.mid);
+    state.PauseTiming();
+    fixture.idx.AddDocument(fixture.mid, fixture.texts[0]);
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(fixture.idx.total_tokens());
+}
+BENCHMARK(BM_InvertedIndexRemove)->Arg(1000)->Arg(8000);
+
 // Blocked decoders (the VM's primitives) against the same index shapes as
 // the merge-based benchmarks above.
 void BM_InvertedIndexPhraseBlocked(benchmark::State& state) {

@@ -29,6 +29,23 @@ uint64_t GetVarint(const std::string& in, size_t* pos) {
   return value;
 }
 
+void SkipVarint(const std::string& in, size_t* pos) {
+  while (*pos < in.size() && (static_cast<uint8_t>(in[(*pos)++]) & 0x80)) {
+  }
+}
+
+/// One posting record: [doc delta, position count, position deltas...].
+void PutRecord(std::string* out, uint64_t doc_delta,
+               const std::vector<uint32_t>& positions) {
+  PutVarint(out, doc_delta);
+  PutVarint(out, positions.size());
+  uint32_t prev = 0;
+  for (uint32_t pos : positions) {
+    PutVarint(out, pos - prev);
+    prev = pos;
+  }
+}
+
 /// Postings per block: small enough that decoding one block for phrase
 /// verification is cheap, large enough that skip pointers pay off.
 constexpr uint32_t kBlockDocs = 128;
@@ -37,15 +54,77 @@ constexpr uint32_t kBlockDocs = 128;
 
 void InvertedIndex::AppendRecord(TermList* list, DocId doc,
                                  const std::vector<uint32_t>& positions) {
-  PutVarint(&list->blob, doc - (list->doc_count == 0 ? 0 : list->last_doc));
-  PutVarint(&list->blob, positions.size());
-  uint32_t prev = 0;
-  for (uint32_t pos : positions) {
-    PutVarint(&list->blob, pos - prev);
-    prev = pos;
-  }
+  PutRecord(&list->blob, doc - (list->doc_count == 0 ? 0 : list->last_doc),
+            positions);
   list->last_doc = doc;
   ++list->doc_count;
+}
+
+InvertedIndex::RecordSlot InvertedIndex::Seek(const TermList& list,
+                                              DocId id) {
+  RecordSlot slot;
+  size_t pos = 0;
+  for (uint32_t i = 0; i < list.doc_count; ++i) {
+    size_t begin = pos;
+    DocId doc = slot.prev + GetVarint(list.blob, &pos);
+    uint64_t count = GetVarint(list.blob, &pos);
+    for (uint64_t j = 0; j < count; ++j) SkipVarint(list.blob, &pos);
+    if (doc >= id) {
+      slot.begin = begin;
+      slot.end = pos;
+      slot.doc = doc;
+      slot.count = static_cast<uint32_t>(count);
+      slot.found = true;
+      return slot;
+    }
+    slot.prev = doc;
+  }
+  slot.begin = slot.end = list.blob.size();
+  return slot;
+}
+
+uint32_t InvertedIndex::EraseRecord(TermList* list, DocId id) {
+  RecordSlot slot = Seek(*list, id);
+  if (!slot.found || slot.doc != id) return 0;
+  std::string& blob = list->blob;
+  if (slot.end == blob.size()) {
+    // The tail: the append cursor steps back to the predecessor (0 when
+    // the list empties, as the first record's delta is relative to 0).
+    blob.erase(slot.begin);
+    list->last_doc = slot.prev;
+  } else {
+    // The successor's delta absorbs the erased record's.
+    size_t next_end = slot.end;
+    uint64_t next_delta = GetVarint(blob, &next_end);
+    std::string merged;
+    PutVarint(&merged, slot.doc - slot.prev + next_delta);
+    blob.replace(slot.begin, next_end - slot.begin, merged);
+  }
+  --list->doc_count;
+  return slot.count;
+}
+
+uint32_t InvertedIndex::WriteRecord(TermList* list, DocId id,
+                                    const std::vector<uint32_t>& positions) {
+  if (list->doc_count == 0 || list->last_doc < id) {
+    AppendRecord(list, id, positions);  // fast path: in-order append
+    return 0;
+  }
+  RecordSlot slot = Seek(*list, id);
+  std::string record;
+  PutRecord(&record, id - slot.prev, positions);
+  if (slot.doc == id) {
+    // Present: the record is replaced; its delta and the successor's stay.
+    list->blob.replace(slot.begin, slot.end - slot.begin, record);
+    return slot.count;
+  }
+  // Spliced before its successor, whose delta now starts from id.
+  PutVarint(&record, slot.doc - id);
+  size_t delta_end = slot.begin;
+  SkipVarint(list->blob, &delta_end);
+  list->blob.replace(slot.begin, delta_end - slot.begin, record);
+  ++list->doc_count;
+  return 0;
 }
 
 std::vector<InvertedIndex::DecodedPosting> InvertedIndex::Decode(
@@ -68,17 +147,6 @@ std::vector<InvertedIndex::DecodedPosting> InvertedIndex::Decode(
     out.push_back(std::move(posting));
   }
   return out;
-}
-
-void InvertedIndex::Encode(const std::vector<DecodedPosting>& postings,
-                           TermList* list) {
-  list->blob.clear();
-  list->doc_count = 0;
-  list->last_doc = 0;
-  for (const DecodedPosting& posting : postings) {
-    AppendRecord(list, posting.doc, posting.positions);
-  }
-  list->blob.shrink_to_fit();
 }
 
 uint32_t InvertedIndex::InternTerm(const std::string& term) {
@@ -136,54 +204,48 @@ void InvertedIndex::DropBlocks(uint32_t tid) {
 }
 
 void InvertedIndex::AddDocument(DocId id, const std::string& text) {
-  if (doc_terms_.count(id) > 0) RemoveDocument(id);
-
   std::vector<Token> tokens = Tokenize(text);
-  total_tokens_ += tokens.size();
   // Group positions per term (tokens arrive in position order).
   std::unordered_map<std::string, std::vector<uint32_t>> term_positions;
   for (Token& token : tokens) {
     term_positions[std::move(token.term)].push_back(token.position);
   }
+  // New terms are interned in the map's iteration order (term ids are part
+  // of the serialized image), then visited in term-id order.
+  std::vector<std::pair<uint32_t, const std::vector<uint32_t>*>> postings;
+  postings.reserve(term_positions.size());
+  for (const auto& [term, positions] : term_positions) {
+    postings.emplace_back(InternTerm(term), &positions);
+  }
+  std::sort(postings.begin(), postings.end());
 
+  // Re-adding an id: terms only in the old text lose the doc's record (a
+  // merge of the two sorted term-id lists); the rest are rewritten below.
+  std::vector<uint32_t>& doc_terms = doc_terms_[id];
+  auto next = postings.begin();
+  for (uint32_t tid : doc_terms) {
+    while (next != postings.end() && next->first < tid) ++next;
+    if (next != postings.end() && next->first == tid) continue;
+    total_tokens_ -= EraseRecord(&lists_[tid], id);
+    DropBlocks(tid);
+  }
+
+  total_tokens_ += tokens.size();
   std::vector<uint32_t> term_ids;
-  term_ids.reserve(term_positions.size());
-  for (auto& [term, positions] : term_positions) {
-    uint32_t tid = InternTerm(term);
-    TermList& list = lists_[tid];
-    if (list.doc_count == 0 || list.last_doc < id) {
-      AppendRecord(&list, id, positions);  // fast path: in-order append
-    } else {
-      // Out-of-order insert: decode, splice, re-encode.
-      std::vector<DecodedPosting> postings = Decode(list);
-      auto it = std::lower_bound(
-          postings.begin(), postings.end(), id,
-          [](const DecodedPosting& p, DocId d) { return p.doc < d; });
-      postings.insert(it, DecodedPosting{id, positions});
-      Encode(postings, &list);
-    }
+  term_ids.reserve(postings.size());
+  for (const auto& [tid, positions] : postings) {
+    total_tokens_ -= WriteRecord(&lists_[tid], id, *positions);
     DropBlocks(tid);
     term_ids.push_back(tid);
   }
-  std::sort(term_ids.begin(), term_ids.end());
-  term_ids.shrink_to_fit();
-  doc_terms_.emplace(id, std::move(term_ids));
+  doc_terms = std::move(term_ids);
 }
 
 void InvertedIndex::RemoveDocument(DocId id) {
   auto it = doc_terms_.find(id);
   if (it == doc_terms_.end()) return;
   for (uint32_t tid : it->second) {
-    TermList& list = lists_[tid];
-    std::vector<DecodedPosting> postings = Decode(list);
-    auto doc_it = std::lower_bound(
-        postings.begin(), postings.end(), id,
-        [](const DecodedPosting& p, DocId d) { return p.doc < d; });
-    if (doc_it != postings.end() && doc_it->doc == id) {
-      total_tokens_ -= doc_it->positions.size();
-      postings.erase(doc_it);
-    }
-    Encode(postings, &list);
+    total_tokens_ -= EraseRecord(&lists_[tid], id);
     DropBlocks(tid);
   }
   doc_terms_.erase(it);

@@ -8,8 +8,14 @@
 // Storage is Lucene-style: one compressed posting list per term, a byte
 // blob of varint-encoded [doc-id delta, position count, position deltas...]
 // records. Appending documents in increasing id order extends blobs in
-// place; out-of-order inserts and removals decode+re-encode the affected
-// term lists (rare in the PDSMS write path, which bulk-loads per source).
+// place. Every other mutation is a splice of one record: an allocation-free
+// forward scan finds the doc's record, its bytes are erased, replaced or
+// inserted, and only the successor's doc delta is re-encoded (removal folds
+// the erased delta into it; insertion splits it). Re-indexing an id (an
+// edit, or WAL replay of a content add) rewrites shared terms' records in
+// place and splices only the terms that left or joined the text. Blobs stay
+// in the one canonical encoding, so Serialize() images do not depend on the
+// mutation history.
 //
 // Block acceleration (DESIGN.md §16): on top of the blob each term lazily
 // gets an immutable block index — runs of up to kBlockDocs doc ids, each
@@ -173,11 +179,33 @@ class InvertedIndex {
 
   uint32_t InternTerm(const std::string& term);
   const TermList* FindList(const std::string& raw_term) const;
+  /// Decodes a whole list; only the classic PhraseQuery needs positions of
+  /// every posting at once.
   static std::vector<DecodedPosting> Decode(const TermList& list);
-  static void Encode(const std::vector<DecodedPosting>& postings,
-                     TermList* list);
   static void AppendRecord(TermList* list, DocId doc,
                            const std::vector<uint32_t>& positions);
+
+  /// Where doc \p id sits in a list: the first record whose doc is >= id,
+  /// found by an allocation-free forward scan (deltas summed, positions
+  /// varint-skipped). Not found means every doc is below id.
+  struct RecordSlot {
+    size_t begin = 0;    ///< blob offset of the record (blob end if none)
+    size_t end = 0;      ///< blob offset just past it
+    DocId prev = 0;      ///< doc of the record before it (0 for the first)
+    DocId doc = 0;       ///< the record's doc (valid when found)
+    uint32_t count = 0;  ///< the record's position count
+    bool found = false;
+  };
+  static RecordSlot Seek(const TermList& list, DocId id);
+  /// Splices doc \p id's record out of \p list, folding its delta into the
+  /// successor's (or stepping last_doc back when it was the tail). Returns
+  /// the removed position count, 0 when the doc is absent.
+  static uint32_t EraseRecord(TermList* list, DocId id);
+  /// Writes doc \p id's record: appended past last_doc, replaced in place
+  /// when present, else spliced before its successor (whose delta is
+  /// re-encoded). Returns the replaced record's position count, else 0.
+  static uint32_t WriteRecord(TermList* list, DocId id,
+                              const std::vector<uint32_t>& positions);
 
   static BlockIndex BuildBlocks(const TermList& list);
   static void AppendBlockDocs(const PostingBlock& block,

@@ -211,8 +211,15 @@ Status MemEnv::Sync(const std::string& path) {
       file.buffered.resize(file.buffered.size() / 2);
     }
   }
-  file.durable += file.buffered;
-  file.buffered.clear();
+  // A file synced once (a checkpoint image) moves its buffer instead of
+  // copying it, and the buffer's capacity is released, so no second
+  // full-size copy stays resident.
+  if (file.durable.empty()) {
+    file.durable.swap(file.buffered);
+  } else {
+    file.durable += file.buffered;
+  }
+  std::string().swap(file.buffered);
   return Status::OK();
 }
 

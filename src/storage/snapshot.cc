@@ -20,7 +20,14 @@ constexpr uint32_t kFormatVersion = 1;
 }  // namespace
 
 std::string Snapshot::Encode() const {
+  // Reserved to the exact image size: growing geometrically would hold up
+  // to twice the image at the checkpoint's memory peak.
+  const std::string* parts[] = {&catalog, &names,   &tuples,  &content,
+                                &groups,  &lineage, &versions};
+  size_t size = 8 + 4 + 8 + 4;  // magic, format, last_commit_seq, seal
+  for (const std::string* part : parts) size += 8 + part->size();
   std::string out;
+  out.reserve(size);
   PutU64(&out, kMagic);
   PutU32(&out, kFormatVersion);
   PutU64(&out, last_commit_seq);

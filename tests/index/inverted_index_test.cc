@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "index/analyzer.h"
+#include "storage/crc32.h"
 #include "util/rng.h"
 
 namespace idm::index {
@@ -109,6 +110,64 @@ TEST_F(InvertedIndexTest, MemoryUsageGrowsWithContent) {
   index_.AddDocument(100, std::string("filler words here and more ") +
                               std::string(5000, 'x'));
   EXPECT_GT(index_.MemoryUsage(), before);
+}
+
+// Byte-identity golden: a fixed churn script touching every mutation shape
+// (in-order and out-of-order adds, re-adds with overlapping, disjoint and
+// identical term sets, removes of a list's first, middle, last and only
+// posting, an append after a tail removal) followed by a seeded random
+// churn. The CRCs pin Serialize() — the checkpoint image — so any change to
+// how postings are spliced must leave every blob, doc count and append
+// cursor exactly as a decode + re-encode of the list would.
+TEST(InvertedIndexGoldenTest, ChurnKeepsSerializedImage) {
+  InvertedIndex index;
+  // Ids spread so merged and split doc deltas cross varint byte widths.
+  index.AddDocument(10, "alpha beta gamma alpha");
+  index.AddDocument(100, "beta gamma delta");
+  index.AddDocument(250, "alpha delta epsilon");
+  index.AddDocument(300, "gamma gamma gamma zeta");
+  index.AddDocument(20000, "alpha beta omega");
+  index.AddDocument(150, "beta delta eta");  // out of order, middle
+  index.AddDocument(5, "alpha theta");       // out of order, front
+  index.AddDocument(100, "beta iota delta delta");   // overlapping re-add
+  index.AddDocument(250, "kappa lambda");            // disjoint re-add
+  index.AddDocument(300, "gamma gamma gamma zeta");  // identical re-add
+  index.AddDocument(20000, "omega alpha beta omega");  // tail re-add
+  index.RemoveDocument(5);      // first posting of alpha, only of theta
+  index.RemoveDocument(150);    // middle posting of beta and delta
+  index.RemoveDocument(20000);  // last posting of alpha, beta and omega
+  index.AddDocument(400, "alpha omega mu");  // append after tail removal
+  index.AddDocument(500, "");
+  index.AddDocument(500, "nu theta xi");  // re-add of an empty document
+  index.AddDocument(7, "alpha alpha kappa");
+  index.RemoveDocument(99);  // unknown id
+  const std::string scripted = index.Serialize();
+  EXPECT_EQ(scripted.size(), 833u);
+  EXPECT_EQ(storage::Crc32(scripted), 1060373999u);
+
+  Rng rng(2006);
+  const char* kWords[] = {"red",  "green", "blue", "fox",  "dog",
+                          "idm",  "vldb",  "data", "space", "view"};
+  for (int step = 0; step < 600; ++step) {
+    // Ids drift upward so appends past the maximum mix with splices.
+    DocId id = rng.Uniform(80) + static_cast<DocId>(step / 4) * 3;
+    uint64_t op = rng.Uniform(10);
+    if (op < 7) {
+      std::string doc;
+      size_t n = rng.Uniform(14);
+      for (size_t i = 0; i < n; ++i) {
+        if (i > 0) doc += ' ';
+        doc += kWords[rng.Uniform(std::size(kWords))];
+      }
+      index.AddDocument(id, doc);
+    } else {
+      index.RemoveDocument(id);
+    }
+  }
+  const std::string churned = index.Serialize();
+  EXPECT_EQ(churned.size(), 13578u);
+  EXPECT_EQ(storage::Crc32(churned), 3096837711u);
+  EXPECT_EQ(index.total_tokens(), 1678u);
 }
 
 TEST(InvertedIndexPropertyTest, MatchesNaiveScanOnRandomCorpus) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <map>
 #include <set>
@@ -29,41 +30,84 @@ TEST_P(ModelSweep, InvertedIndexMatchesModelUnderChurn) {
   Rng rng(GetParam());
   const char* kWords[] = {"red", "blue", "fox", "dog", "idm", "vldb"};
   InvertedIndex index;
-  std::map<DocId, std::string> model;
+  // doc -> its words in position order.
+  std::map<DocId, std::vector<std::string>> model;
 
   auto random_doc = [&]() {
-    std::string doc;
+    std::vector<std::string> words;
     size_t n = 1 + rng.Uniform(8);
     for (size_t i = 0; i < n; ++i) {
-      if (i > 0) doc += ' ';
-      doc += kWords[rng.Uniform(std::size(kWords))];
+      words.push_back(kWords[rng.Uniform(std::size(kWords))]);
     }
-    return doc;
+    return words;
+  };
+  auto join = [](const std::vector<std::string>& words) {
+    std::string text;
+    for (const std::string& word : words) {
+      if (!text.empty()) text += ' ';
+      text += word;
+    }
+    return text;
   };
 
   for (int step = 0; step < 400; ++step) {
-    DocId id = rng.Uniform(40);
+    // The id window drifts upward, so appends past the current maximum
+    // follow removals of the tail as well as out-of-order splices.
+    DocId id = rng.Uniform(40) + static_cast<DocId>(step / 10);
     if (rng.Chance(0.7)) {
-      std::string doc = random_doc();
-      index.AddDocument(id, doc);
-      model[id] = doc;
+      std::vector<std::string> words = random_doc();
+      index.AddDocument(id, join(words));
+      model[id] = std::move(words);
     } else {
       index.RemoveDocument(id);
       model.erase(id);
     }
     if (step % 20 != 0) continue;
-    // Verify every term.
+    // Verify every term: doc ids and term frequencies on both read paths.
     for (const char* word : kWords) {
       std::vector<DocId> expected;
-      for (const auto& [doc_id, text] : model) {
-        std::string padded = " " + text + " ";
-        if (padded.find(std::string(" ") + word + " ") != std::string::npos) {
-          expected.push_back(doc_id);
-        }
+      std::vector<std::pair<DocId, uint32_t>> expected_tf;
+      for (const auto& [doc_id, words] : model) {
+        uint32_t tf = static_cast<uint32_t>(
+            std::count(words.begin(), words.end(), word));
+        if (tf == 0) continue;
+        expected.push_back(doc_id);
+        expected_tf.emplace_back(doc_id, tf);
       }
       EXPECT_EQ(index.TermQuery(word), expected) << word << " at step " << step;
+      EXPECT_EQ(index.TermQueryWithTf(word), expected_tf)
+          << word << " at step " << step;
+      EXPECT_EQ(index.TermTfDocs(word), expected_tf)
+          << word << " at step " << step;
     }
+    // Every two-word phrase, classic and blocked.
+    for (const char* first : kWords) {
+      for (const char* second : kWords) {
+        std::vector<DocId> expected;
+        for (const auto& [doc_id, words] : model) {
+          for (size_t i = 0; i + 1 < words.size(); ++i) {
+            if (words[i] == first && words[i + 1] == second) {
+              expected.push_back(doc_id);
+              break;
+            }
+          }
+        }
+        std::string phrase = std::string(first) + " " + second;
+        EXPECT_EQ(index.PhraseQuery(phrase), expected)
+            << phrase << " at step " << step;
+        EXPECT_EQ(index.PhraseDocs(phrase), expected)
+            << phrase << " at step " << step;
+      }
+    }
+    uint64_t tokens = 0;
+    for (const auto& [doc_id, words] : model) tokens += words.size();
+    EXPECT_EQ(index.total_tokens(), tokens) << "at step " << step;
     EXPECT_EQ(index.doc_count(), model.size());
+    // The checkpoint image is a fixed point of Serialize -> Deserialize.
+    std::string image = index.Serialize();
+    auto restored = InvertedIndex::Deserialize(image);
+    ASSERT_TRUE(restored.ok()) << "at step " << step;
+    EXPECT_EQ(restored->Serialize(), image) << "at step " << step;
   }
 }
 
