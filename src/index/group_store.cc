@@ -56,9 +56,10 @@ const std::vector<DocId>& GroupStore::Children(DocId id) const {
   return it == children_.end() ? kEmpty : it->second;
 }
 
-std::vector<DocId> GroupStore::Parents(DocId id) const {
+const std::vector<DocId>& GroupStore::Parents(DocId id) const {
+  static const std::vector<DocId> kEmpty;
   auto it = parents_.find(id);
-  return it == parents_.end() ? std::vector<DocId>{} : it->second;
+  return it == parents_.end() ? kEmpty : it->second;
 }
 
 namespace {
@@ -109,28 +110,28 @@ std::unordered_set<DocId> GroupStore::Ancestors(
 }
 
 bool GroupStore::ReachedFromAny(DocId start,
-                                const std::unordered_set<DocId>& sources,
+                                const std::vector<DocId>& sources,
                                 size_t max_nodes, size_t* expanded,
                                 util::ExecContext* ctx) const {
-  std::unordered_set<DocId> visited{start};
-  std::deque<DocId> queue{start};
-  size_t touched = 0;
-  while (!queue.empty() && visited.size() < max_nodes) {
+  // nodes[0, head) are expanded, nodes[head, end) wait in BFS order.
+  std::vector<DocId> nodes{start};
+  size_t head = 0;
+  while (head < nodes.size() && nodes.size() < max_nodes) {
     if (ctx != nullptr && !ctx->TickAlive()) break;
-    DocId id = queue.front();
-    queue.pop_front();
-    ++touched;
+    DocId id = nodes[head++];
     auto it = parents_.find(id);
     if (it == parents_.end()) continue;
     for (DocId parent : it->second) {
-      if (sources.count(parent) > 0) {
-        if (expanded != nullptr) *expanded += touched;
+      if (std::binary_search(sources.begin(), sources.end(), parent)) {
+        if (expanded != nullptr) *expanded += head;
         return true;
       }
-      if (visited.insert(parent).second) queue.push_back(parent);
+      if (std::find(nodes.begin(), nodes.end(), parent) == nodes.end()) {
+        nodes.push_back(parent);
+      }
     }
   }
-  if (expanded != nullptr) *expanded += touched;
+  if (expanded != nullptr) *expanded += head;
   return false;
 }
 

@@ -32,7 +32,7 @@ class GroupStore {
   const std::vector<DocId>& Children(DocId id) const;
 
   /// Direct parents of \p id (sorted ascending).
-  std::vector<DocId> Parents(DocId id) const;
+  const std::vector<DocId>& Parents(DocId id) const;
 
   /// All ids reachable from \p roots by following child edges, excluding
   /// the roots themselves unless reached via a cycle. Bounded by
@@ -52,14 +52,16 @@ class GroupStore {
                                       size_t* expanded = nullptr,
                                       util::ExecContext* ctx = nullptr) const;
 
-  /// True iff some member of \p sources reaches \p start by following
-  /// child edges — i.e. \p start is a descendant of one of them. Runs a
-  /// *backward* BFS over parent edges from \p start with early exit; this
-  /// is the primitive behind backward expansion (the paper's proposed
-  /// remedy for Q8-style forward-expansion blowup). `expanded` accumulates
-  /// the nodes touched. A doomed \p ctx stops the probe (returning false);
-  /// callers under governance check ctx->status() before trusting it.
-  bool ReachedFromAny(DocId start, const std::unordered_set<DocId>& sources,
+  /// True iff some member of \p sources (sorted ascending) reaches
+  /// \p start by following child edges — i.e. \p start is a descendant of
+  /// one of them. Runs a *backward* BFS over parent edges from \p start
+  /// with early exit; this is the primitive behind backward expansion (the
+  /// paper's proposed remedy for Q8-style forward-expansion blowup).
+  /// Upward walks are short, so the visited nodes are one flat vector that
+  /// doubles as the queue. `expanded` accumulates the nodes touched. A
+  /// doomed \p ctx stops the probe (returning false); callers under
+  /// governance check ctx->status() before trusting it.
+  bool ReachedFromAny(DocId start, const std::vector<DocId>& sources,
                       size_t max_nodes = SIZE_MAX,
                       size_t* expanded = nullptr,
                       util::ExecContext* ctx = nullptr) const;

@@ -34,9 +34,27 @@ const Batch& EmptyBatch() {
   return empty;
 }
 
+/// Size ratio from which Intersect searches the larger side instead of
+/// merging: k binary searches beat a k + n merge once n is ~32x k.
+constexpr size_t kSkewRatio = 32;
+
+/// Sorted intersection costing min(k + n, k log n): a plain merge for
+/// similar sizes, else a walk over the smaller side with lower_bound into
+/// the rest of the larger one.
 std::vector<DocId> Intersect(const std::vector<DocId>& a,
                              const std::vector<DocId>& b) {
+  const std::vector<DocId>& small = a.size() <= b.size() ? a : b;
+  const std::vector<DocId>& large = a.size() <= b.size() ? b : a;
   std::vector<DocId> out;
+  if (small.size() * kSkewRatio < large.size()) {
+    auto pos = large.begin();
+    for (DocId id : small) {
+      pos = std::lower_bound(pos, large.end(), id);
+      if (pos == large.end()) break;
+      if (*pos == id) out.push_back(id);
+    }
+    return out;
+  }
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
   return out;
@@ -290,7 +308,6 @@ Batch ExecExpand(VmState& st, const Batch& frontier_b, const Batch& names_b) {
       expand_scope.get()->SetAttr("candidates",
                                   static_cast<int64_t>(name_set.size()));
     }
-    std::unordered_set<DocId> sources(frontier.begin(), frontier.end());
     auto ranges = util::ChunkRanges(name_set.size(), st.FanWays(),
                                     st.options.min_parallel_chunk);
     struct ChunkOut {
@@ -301,7 +318,7 @@ Batch ExecExpand(VmState& st, const Batch& frontier_b, const Batch& names_b) {
       ChunkOut out;
       for (size_t c = begin; c < end; ++c) {
         if (st.ctx != nullptr && st.ctx->doomed()) break;
-        if (st.module.groups().ReachedFromAny(name_set[c], sources,
+        if (st.module.groups().ReachedFromAny(name_set[c], frontier,
                                               st.options.max_expansion,
                                               &out.expanded, st.ctx)) {
           out.matched.push_back(name_set[c]);
@@ -339,14 +356,22 @@ Batch ExecExpand(VmState& st, const Batch& frontier_b, const Batch& names_b) {
     if (!descendants_charge.Add(descendants.size() * sizeof(DocId)).ok()) {
       descendants.clear();
     }
-    matched = st.ChunkedConcat(name_set.size(), [&](size_t b, size_t e) {
-      std::vector<DocId> out;
-      for (size_t c = b; c < e; ++c) {
-        if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
-        if (descendants.count(name_set[c]) > 0) out.push_back(name_set[c]);
+    // The step counts one tick per candidate name, charged in bulk; a
+    // doom here empties the result at the root materialize (§10).
+    if (st.ctx != nullptr && !name_set.empty()) {
+      (void)st.ctx->Tick(name_set.size());
+    }
+    // Iterate the smaller side: probe the descendants per name, or sort
+    // the fewer descendants and search the name set for them.
+    if (name_set.size() <= descendants.size()) {
+      for (DocId id : name_set) {
+        if (descendants.count(id) > 0) matched.push_back(id);
       }
-      return out;
-    });
+    } else {
+      std::vector<DocId> reached(descendants.begin(), descendants.end());
+      std::sort(reached.begin(), reached.end());
+      matched = Intersect(reached, name_set);
+    }
   }
   return MakeBatch(std::move(matched));
 }
@@ -585,15 +610,19 @@ Status ExecJoin(VmState& st, const PlanProgram& program, QueryResult* result) {
 }
 
 /// tf-idf ranking (§5.1) over the program's precollected phrases: pure
-/// keyword queries get descending-score row order (ties by id).
+/// keyword queries get descending-score row order (ties by id). The rows
+/// come from the root materialize, ascending by id, so each term's
+/// ascending postings merge-join into a flat score per row.
 void RankRows(VmState& st, const PlanProgram& program, QueryResult* result) {
   if (!program.rankable || program.rank_phrases.empty() ||
       result->rows.empty()) {
     return;
   }
-  std::unordered_map<DocId, double> score;
-  score.reserve(result->rows.size());
-  for (const auto& row : result->rows) score.emplace(row[0], 0.0);
+  std::vector<std::vector<DocId>>& rows = result->rows;
+  std::vector<DocId> ids;
+  ids.reserve(rows.size());
+  for (const auto& row : rows) ids.push_back(row[0]);
+  std::vector<double> score(ids.size(), 0.0);
 
   const double n_docs =
       static_cast<double>(std::max<size_t>(st.module.content().doc_count(), 1));
@@ -604,22 +633,29 @@ void RankRows(VmState& st, const PlanProgram& program, QueryResult* result) {
       double idf = std::log(1.0 + n_docs / static_cast<double>(df));
       // Same pairs as TermQueryWithTf, without re-skipping position
       // varints (ranking never ticks, so no governed counterpart needed).
+      size_t r = 0;
       for (const auto& [doc, tf] : st.module.content().TermTfDocs(term)) {
-        auto it = score.find(doc);
-        if (it != score.end()) it->second += tf * idf;
+        while (r < ids.size() && ids[r] < doc) ++r;
+        if (r == ids.size()) break;
+        if (ids[r] == doc) score[r] += tf * idf;
       }
     }
   }
-  std::sort(result->rows.begin(), result->rows.end(),
-            [&score](const std::vector<DocId>& a, const std::vector<DocId>& b) {
-              double sa = score[a[0]], sb = score[b[0]];
-              if (sa != sb) return sa > sb;
-              return a[0] < b[0];
-            });
-  result->scores.reserve(result->rows.size());
-  for (const auto& row : result->rows) {
-    result->scores.push_back(score[row[0]]);
+  // (score, row) pairs: rows are id-ascending, so row order breaks ties.
+  std::vector<std::pair<double, size_t>> order(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) order[r] = {score[r], r};
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  std::vector<std::vector<DocId>> ranked;
+  ranked.reserve(rows.size());
+  result->scores.reserve(rows.size());
+  for (const auto& [s, r] : order) {
+    ranked.push_back(std::move(rows[r]));
+    result->scores.push_back(s);
   }
+  rows = std::move(ranked);
 }
 
 Status ExecOps(VmState& st, const PlanProgram& program,

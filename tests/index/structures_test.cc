@@ -196,6 +196,40 @@ TEST_F(GroupStoreTest, CycleTerminates) {
   EXPECT_EQ(desc.size(), 5u);  // includes 1 itself via the cycle
 }
 
+TEST_F(GroupStoreTest, ReachedFromAnyWalksParentsUpToASortedSource) {
+  size_t expanded = 0;
+  EXPECT_TRUE(store_.ReachedFromAny(5, {3, 9}, SIZE_MAX, &expanded));
+  EXPECT_EQ(expanded, 1u);  // 5's parent 3 is a source
+  EXPECT_TRUE(store_.ReachedFromAny(4, {1}, SIZE_MAX, &expanded));
+  EXPECT_EQ(expanded, 3u);  // accumulates: 4, then 2 meets 1
+  expanded = 0;
+  EXPECT_FALSE(store_.ReachedFromAny(4, {3}, SIZE_MAX, &expanded));
+  EXPECT_EQ(expanded, 3u);  // 4, 2, 1: every ancestor, then no more
+  EXPECT_FALSE(store_.ReachedFromAny(1, {1}));  // a start is not its own
+  EXPECT_FALSE(store_.ReachedFromAny(4, {}));
+}
+
+TEST_F(GroupStoreTest, ReachedFromAnyTerminatesOnACycle) {
+  store_.SetChildren(5, {1});  // close a cycle: 1 -> 2 -> 5 -> 1
+  size_t expanded = 0;
+  EXPECT_FALSE(store_.ReachedFromAny(1, {7}, SIZE_MAX, &expanded));
+  EXPECT_EQ(expanded, 4u);  // 1, 5, 2, 3, each once
+  expanded = 0;
+  EXPECT_TRUE(store_.ReachedFromAny(1, {1}, SIZE_MAX, &expanded));
+  EXPECT_EQ(expanded, 3u);  // 1, 5, then 2 meets 1 via the cycle
+}
+
+TEST_F(GroupStoreTest, ReachedFromAnyStopsAtMaxNodes) {
+  size_t expanded = 0;
+  // Visiting 4 and its parent 2 fills a two-node bound before 2 is
+  // expanded, so source 1 is never met.
+  EXPECT_FALSE(store_.ReachedFromAny(4, {1}, /*max_nodes=*/2, &expanded));
+  EXPECT_EQ(expanded, 1u);
+  EXPECT_FALSE(store_.ReachedFromAny(4, {1}, /*max_nodes=*/1, &expanded));
+  EXPECT_EQ(expanded, 1u);  // the start alone fills the bound
+  EXPECT_TRUE(store_.ReachedFromAny(4, {1}, /*max_nodes=*/3, &expanded));
+}
+
 TEST_F(GroupStoreTest, SetChildrenReplaces) {
   store_.SetChildren(1, {4});
   EXPECT_EQ(store_.Children(1), (std::vector<DocId>{4}));

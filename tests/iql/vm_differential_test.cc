@@ -5,10 +5,11 @@
 // rows (order included) and tf-idf scores (bitwise) — over the Table 4
 // analog catalog, extra operator shapes and a seeded random query
 // generator over the workload vocabulary (the fuzz corpus), at thread
-// counts 1/2/4/8. MatchesDoc, the subscription fast path, is checked view
-// by view against the oracle's result sets. At threads = 1 the governed
-// step schedule is pinned by goldens and every §10 degraded result must be
-// a prefix of the complete one.
+// counts 1/2/4/8, and with descendant steps forced forward or backward.
+// MatchesDoc, the subscription fast path, is checked view by view against
+// the oracle's result sets. At threads = 1 the governed step schedule,
+// expansion work and probe counts are pinned by goldens and every §10
+// degraded result must be a prefix of the complete one.
 //
 // The suite also pins the Prepare/Explain handle API: golden Explain()
 // listings for the Table 4 shapes, plan-keyed result-cache sharing across
@@ -71,6 +72,13 @@ const std::vector<std::string>& ExtraQueries() {
       "//INBOX//*",
       "/*",
       "/*//*.tex",
+      // Descendant steps whose descendant set is larger than the name set
+      // (every email's subtree, every paper) and smaller (one folder).
+      "//*[class=\"emailmessage\"]//*",
+      "//papers//*",
+      "//VLDB2006//*",
+      // A ranked multi-phrase filter with tied scores.
+      "\"database\" or \"tuning\"",
   };
   return kQueries;
 }
@@ -189,10 +197,12 @@ class VmDifferentialTest : public ::testing::Test {
     ds_ = nullptr;
   }
 
-  static std::unique_ptr<QueryProcessor> MakeProcessor(Dataspace& ds,
-                                                       size_t threads) {
+  static std::unique_ptr<QueryProcessor> MakeProcessor(
+      Dataspace& ds, size_t threads,
+      QueryProcessor::Expansion expansion = QueryProcessor::Expansion::kAuto) {
     QueryProcessor::Options options;
     options.threads = threads;
+    options.expansion = expansion;
     // Force chunked scans onto the pool even at Small scale.
     options.min_parallel_chunk = threads > 1 ? 8 : 256;
     return std::make_unique<QueryProcessor>(&ds.module(), &ds.classes(),
@@ -273,6 +283,27 @@ TEST_F(VmDifferentialTest, VmMatchesReferenceOnCatalogAllThreadCounts) {
   // file) answers something, so the comparison is not vacuous.
   for (size_t i = 0; i < Table4Queries().size(); ++i) {
     EXPECT_EQ(expected[i]->rows.empty(), i == 2) << queries[i];
+  }
+}
+
+TEST_F(VmDifferentialTest, ForcedExpansionDirectionsMatchReference) {
+  // Descendant steps answer the same whichever way they walk: down from
+  // the frontier, or up from each candidate.
+  ReferenceEvaluator reference = Reference(*ds_);
+  std::vector<std::string> queries = Table4Queries();
+  queries.insert(queries.end(), ExtraQueries().begin(), ExtraQueries().end());
+  for (auto expansion : {QueryProcessor::Expansion::kForward,
+                         QueryProcessor::Expansion::kBackward}) {
+    for (size_t threads : {1u, 4u}) {
+      std::unique_ptr<QueryProcessor> vm =
+          MakeProcessor(*ds_, threads, expansion);
+      for (const std::string& text : queries) {
+        Result<Query> query = ParseQuery(text);
+        ASSERT_TRUE(query.ok()) << text;
+        ExpectMatchesReference(reference.Evaluate(*query),
+                               vm->Evaluate(*query), text, threads);
+      }
+    }
   }
 }
 
@@ -380,6 +411,12 @@ TEST_F(VmDifferentialTest, GovernedStepBudgetsKeepGoldenSchedule) {
                                                 85,  2068, 2272, 1741};
   const std::vector<bool> kRanked = {true,  true,  false, false,
                                      false, false, false, false};
+  // The complete run's expansion work and probe counts
+  // {name, content, tuple, graph}, governed or not.
+  const std::vector<size_t> kExpanded = {0, 0, 0, 425, 54, 52, 127, 651};
+  const std::vector<std::vector<uint64_t>> kProbes = {
+      {0, 1, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {2, 1, 0, 1},
+      {2, 1, 0, 1}, {2, 2, 0, 2}, {3, 0, 0, 3}, {3, 0, 0, 2}};
   std::unique_ptr<QueryProcessor> vm = MakeProcessor(1);
   ASSERT_EQ(kCompleteSteps.size(), Table4Queries().size());
   for (size_t q = 0; q < Table4Queries().size(); ++q) {
@@ -394,6 +431,13 @@ TEST_F(VmDifferentialTest, GovernedStepBudgetsKeepGoldenSchedule) {
     EXPECT_EQ(complete->rows, plain->rows);
     EXPECT_EQ(complete->scores, plain->scores);
     EXPECT_EQ(complete->ranked(), kRanked[q]);
+    for (const QueryResult* run : {&*plain, &*complete}) {
+      EXPECT_EQ(run->expanded_views, kExpanded[q]);
+      EXPECT_EQ(run->probes.name_lookups, kProbes[q][0]);
+      EXPECT_EQ(run->probes.content_phrases, kProbes[q][1]);
+      EXPECT_EQ(run->probes.tuple_scans, kProbes[q][2]);
+      EXPECT_EQ(run->probes.graph_walks, kProbes[q][3]);
+    }
     for (uint64_t budget : {1u, 7u, 33u, 250u, 5000u}) {
       SCOPED_TRACE("budget=" + std::to_string(budget));
       util::ExecContext::Limits limits;
