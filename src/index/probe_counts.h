@@ -3,9 +3,8 @@
 // The index structures themselves stay free of instrumentation state — they
 // are copied and wholesale-replaced on snapshot restore, so atomics inside
 // them would be awkward and the counts would survive restores they should
-// not. Instead the query evaluator accumulates a plain ProbeCounts per
-// evaluation arm and merges arms in input order (exactly like its rule
-// ledger), which keeps the totals deterministic under parallel execution.
+// not. Instead the query evaluator accumulates one plain ProbeCounts per
+// evaluation (next to its rule ledger), so the totals are deterministic.
 
 #ifndef IDM_INDEX_PROBE_COUNTS_H_
 #define IDM_INDEX_PROBE_COUNTS_H_
@@ -23,13 +22,6 @@ struct ProbeCounts {
 
   uint64_t total() const {
     return name_lookups + content_phrases + tuple_scans + graph_walks;
-  }
-
-  void Merge(const ProbeCounts& other) {
-    name_lookups += other.name_lookups;
-    content_phrases += other.content_phrases;
-    tuple_scans += other.tuple_scans;
-    graph_walks += other.graph_walks;
   }
 };
 

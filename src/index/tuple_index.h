@@ -47,7 +47,7 @@ class TupleIndex {
   /// and query never overlap, as everywhere else in the index layer.
   ///
   /// Under a governed context (\p ctx non-null) the copy-out loop ticks at
-  /// bounded stride and stops early once the family is doomed; the result
+  /// bounded stride and stops early once the context is doomed; the result
   /// is then a subset (incomplete — check ctx->status()).
   std::vector<DocId> Scan(const std::string& attribute, CompareOp op,
                           const core::Value& literal,
@@ -74,9 +74,9 @@ class TupleIndex {
  private:
   struct Column {
     // (value, id), kept sorted; rebuilt lazily after bulk inserts. `dirty`
-    // is atomic and the rebuild mutex-guarded so that parallel query
-    // leaves may Scan the same column concurrently (release on the sorter,
-    // acquire on readers orders the sorted entries before dirty=false).
+    // is atomic and the rebuild mutex-guarded so that concurrent queries
+    // may Scan the same column (release on the sorter, acquire on readers
+    // orders the sorted entries before dirty=false).
     std::vector<std::pair<core::Value, DocId>> entries;
     std::atomic<bool> dirty{false};
   };

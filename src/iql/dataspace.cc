@@ -656,9 +656,6 @@ DataspaceStats Dataspace::Stats() const {
   }
   stats.repair.rescues = rescues_;
   stats.repair.last_defect = last_defect_;
-  if (processor_->pool() != nullptr) {
-    stats.pool = processor_->pool()->telemetry();
-  }
   if (obs_ != nullptr) stats.metrics = obs_->metrics().Snapshot();
   stats.engine = processor_->engine_stats();
   stats.postings = module_.content().block_stats();

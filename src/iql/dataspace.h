@@ -15,8 +15,8 @@
 // QueryOptions (iql/query_options.h), never a separate overload.
 //
 // Introspection likewise has one surface: Stats() returns a DataspaceStats
-// snapshot covering cache, admission, sync, storage, thread pool, and the
-// metrics registry; LastTrace() returns the most recent span tree when
+// snapshot covering cache, admission, sync, storage, repair, the engine and
+// the metrics registry; LastTrace() returns the most recent span tree when
 // Config::observability is enabled (DESIGN.md §11).
 
 #ifndef IDM_IQL_DATASPACE_H_
@@ -65,7 +65,6 @@ struct DataspaceStats {
   storage::StorageEngine::Stats storage;  ///< zeros when not durable
   storage::RecoveryStats recovery;        ///< what startup recovery found
   RepairStats repair;                     ///< scrub/quarantine/self-heal
-  util::ThreadPoolTelemetry pool;         ///< zeros when threads <= 1
   obs::MetricsSnapshot metrics;           ///< empty when observability off
   QueryProcessor::EngineStats engine;     ///< plans compiled, VM runs (§16)
   index::InvertedIndex::BlockStats postings;  ///< block-compression activity

@@ -59,8 +59,8 @@ Federation::PeerOutcome Federation::QueryPeer(
     obs::TraceSpan* span) const {
   PeerOutcome outcome;
   if (ctx != nullptr && ctx->doomed()) {
-    // A sibling already overran the family budget: abandon this peer
-    // before shipping anything.
+    // The caller's context is already doomed (overrun or cancelled):
+    // abandon this peer before shipping anything.
     outcome.error = ctx->status();
     return outcome;
   }

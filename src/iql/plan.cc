@@ -156,11 +156,6 @@ void ExplainInto(const PlanProgram& program, const std::string& label,
       case OpCode::kJumpIfEmpty:
         line += "if-empty " + ra() + " goto " + std::to_string(op.aux);
         break;
-      case OpCode::kParGroup:
-        line += dst() + " = par-" + (op.flags == 0 ? "and" : "or") +
-                " subs[" + std::to_string(op.aux) + ".." +
-                std::to_string(op.aux + op.b) + ") over " + ra();
-        break;
       case OpCode::kStepChild:
         line += dst() + " = step-child frontier=" + ra() + " names=" + rb();
         break;

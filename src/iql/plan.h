@@ -5,8 +5,7 @@
 // registers, each register holding one batch of sorted candidate view ids.
 // Strings (phrases, name patterns, attributes) and comparison literals are
 // interned into per-program pools; sub-queries (set-operator arms, join
-// inputs, parallel and/or arms) become nested sub-programs referenced by
-// index. Lowering is
+// inputs) become nested sub-programs referenced by index. Lowering is
 // deterministic, so a program doubles as the query's *canonical* identity:
 // CanonicalQueryKey() flattens and sorts commutative operands (and/or
 // chains, union/intersect arms, except subtrahends), and its FNV-1a hash
@@ -46,8 +45,6 @@ enum class OpCode : uint8_t {
   kDifference,    ///< r[dst] = r[a] \ r[b]
   kMove,          ///< r[dst] = r[a]
   kJumpIfEmpty,   ///< if r[a] is empty, continue at ops[aux]
-  kParGroup,      ///< r[dst] = parallel and/or of subs[aux, aux+b) over r[a];
-                  ///< flags: 0 = and, 1 = or
   kStepChild,     ///< r[dst] = (children of frontier r[a]) ∩ name set r[b]
   kExpand,        ///< r[dst] = descendant step: frontier r[a], names r[b]
                   ///< (R4 forward / R6 backward chosen at run time)
@@ -58,7 +55,7 @@ enum class OpCode : uint8_t {
   kMaterialize,   ///< result rows = r[a]; flags bit 0: governed root
                   ///< materialization (§10 prefix capture)
   kRankOrClear,   ///< tf-idf rank the result via the program's rank phrases,
-                  ///< or clear it when the family is doomed (§10)
+                  ///< or clear it when the context is doomed (§10)
 };
 
 struct PlanOp {
@@ -85,8 +82,9 @@ struct JoinInfo {
 
 /// One compiled (sub-)program. Query-flavored programs produce a full
 /// QueryResult (they end in kMaterialize / kRankOrClear / kJoin);
-/// pred-flavored programs are parallel and/or arms: the executor seeds
-/// r[0] with the universe and reads the id batch from out_reg.
+/// pred-flavored programs are per-view membership tests (MatchesDoc): the
+/// executor seeds r[0] with the universe and reads the id batch from
+/// out_reg.
 struct PlanProgram {
   enum class Flavor { kQuery, kPred };
 

@@ -60,7 +60,7 @@ bool Planner::IsRankable(const PredNode& filter) {
 std::unique_ptr<PlanProgram> Planner::Lower(const Query& query) const {
   std::unique_ptr<PlanProgram> program = LowerQueryProgram(query);
   // Only the root program's materialization runs governed (§10 prefix
-  // capture: its input ids are complete, so the rows kept when the family
+  // capture: its input ids are complete, so the rows kept when the context
   // is doomed mid-loop are a prefix): sub-program materializations
   // (set-op arms, join inputs) stay ungoverned.
   for (PlanOp& op : program->ops) {
@@ -208,17 +208,7 @@ uint16_t Planner::LowerPred(const PredNode& pred, uint16_t universe,
       return out;
     }
     case PredNode::Kind::kAnd: {
-      if (parallel_ && pred.children.size() > 1) {
-        uint32_t first = static_cast<uint32_t>(program->subs.size());
-        for (const auto& child : pred.children) {
-          program->subs.push_back(LowerPredProgram(*child));
-        }
-        uint16_t out = NewReg(program);
-        Emit(program, {OpCode::kParGroup, 0, out, universe,
-                       static_cast<uint16_t>(pred.children.size()), 0, first});
-        return out;
-      }
-      // Serial accumulator chain with a short-circuit: child i+1 runs only
+      // Accumulator chain with a short-circuit: child i+1 runs only
       // while the accumulator is non-empty.
       uint16_t acc = NewReg(program);
       Emit(program, {OpCode::kMove, 0, acc, universe});
@@ -236,16 +226,6 @@ uint16_t Planner::LowerPred(const PredNode& pred, uint16_t universe,
       return acc;
     }
     case PredNode::Kind::kOr: {
-      if (parallel_ && pred.children.size() > 1) {
-        uint32_t first = static_cast<uint32_t>(program->subs.size());
-        for (const auto& child : pred.children) {
-          program->subs.push_back(LowerPredProgram(*child));
-        }
-        uint16_t out = NewReg(program);
-        Emit(program, {OpCode::kParGroup, 1, out, universe,
-                       static_cast<uint16_t>(pred.children.size()), 0, first});
-        return out;
-      }
       uint16_t acc = NewReg(program);  // registers start out empty
       for (const auto& child : pred.children) {
         uint16_t ids = LowerPred(*child, universe, program);

@@ -1,10 +1,10 @@
 // Lowers parsed + rule-optimized iQL (the logical algebra of ast.h) into
-// flat PlanPrograms (plan.h) for the VM. Serial and/or chains become
-// accumulator register chains with short-circuit jumps; pool-backed
-// processors lower multi-child and/or nodes and set-operator arms to
-// parallel sub-programs. Rows and scores do not depend on the shape chosen
-// (tests/iql/reference_eval.h is the set-semantics oracle); at threads = 1
-// the governed tick schedule is a pinned property of the serial shape.
+// flat PlanPrograms (plan.h) for the VM. And-chains become accumulator
+// register chains with short-circuit jumps, or-chains union their
+// children's batches, and set-operator arms and join inputs become
+// sub-programs the VM runs in order. There is one program shape per query:
+// its rows and scores are checked against tests/iql/reference_eval.h (the
+// set-semantics oracle) and its governed tick schedule is pinned.
 
 #ifndef IDM_IQL_PLANNER_H_
 #define IDM_IQL_PLANNER_H_
@@ -18,11 +18,6 @@ namespace idm::iql {
 
 class Planner {
  public:
-  /// \p parallel: whether the executing processor owns a thread pool
-  /// (QueryProcessor::Options::threads > 1). The flag is static per
-  /// processor, so it is compiled into the program shape.
-  explicit Planner(bool parallel) : parallel_(parallel) {}
-
   /// Compiles \p query into a root program (normalized text, canonical
   /// cache key and fingerprint filled in). Never fails: shapes the VM
   /// rejects (nested join inputs, set ops over joins) lower fine and
@@ -41,8 +36,6 @@ class Planner {
   std::unique_ptr<PlanProgram> LowerQueryProgram(const Query& query) const;
   uint16_t LowerPred(const PredNode& pred, uint16_t universe,
                      PlanProgram* program) const;
-
-  bool parallel_;
 };
 
 }  // namespace idm::iql

@@ -23,11 +23,7 @@ Micros WallNow() {
 QueryProcessor::QueryProcessor(const rvm::ReplicaIndexesModule* module,
                                const core::ClassRegistry* classes,
                                Clock* clock, Options options)
-    : module_(module), classes_(classes), clock_(clock), options_(options) {
-  if (options_.threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.threads);
-  }
-}
+    : module_(module), classes_(classes), clock_(clock), options_(options) {}
 
 QueryProcessor::~QueryProcessor() = default;
 
@@ -65,7 +61,7 @@ Result<QueryProcessor::MatchPlan> QueryProcessor::PlanMatch(
     predicate = query.steps[0].predicate.get();
   }
   if (predicate != nullptr) {
-    plan.predicate = Planner(/*parallel=*/false).LowerPredProgram(*predicate);
+    plan.predicate = Planner().LowerPredProgram(*predicate);
   }
   return plan;
 }
@@ -84,7 +80,7 @@ Result<bool> QueryProcessor::MatchesDoc(const MatchPlan& plan,
   // U containing X — so the singleton universe answers membership exactly
   // (liveness was just checked; predicate leaves only ever produce live
   // ids, and negation subtracts from the universe we pass).
-  Vm::Env env{module_, classes_, clock_, &options_, /*pool=*/nullptr};
+  Vm::Env env{module_, classes_, clock_, &options_};
   IDM_ASSIGN_OR_RETURN(std::vector<index::DocId> hit,
                        Vm::RunPred(env, *plan.predicate, {id}));
   return !hit.empty();
@@ -117,7 +113,7 @@ Result<QueryResult> QueryProcessor::Evaluate(const Query& query,
 
 std::unique_ptr<PlanProgram> QueryProcessor::Plan(const Query& query) const {
   plans_.fetch_add(1, std::memory_order_relaxed);
-  return Planner(pool_ != nullptr && pool_->size() > 0).Lower(query);
+  return Planner().Lower(query);
 }
 
 QueryProcessor::EngineStats QueryProcessor::engine_stats() const {
@@ -132,10 +128,10 @@ Result<QueryResult> QueryProcessor::Evaluate(const PlanProgram& program,
                                              obs::TraceSpan* span) const {
   vm_runs_.fetch_add(1, std::memory_order_relaxed);
   Micros start = WallNow();
-  Vm::Env env{module_, classes_, clock_, &options_, pool_.get()};
+  Vm::Env env{module_, classes_, clock_, &options_};
   Result<QueryResult> run = Vm::Run(env, program, ctx, span);
   if (!run.ok()) {
-    // A genuine evaluation error while the family was doomed is still an
+    // A genuine evaluation error while the context was doomed is still an
     // error; governance never hides real failures.
     return run.status();
   }

@@ -21,14 +21,11 @@
 //       the paper's proposed remedy ("backward or bidirectional
 //       expansion") for Q8-style blowup, implemented.
 //
-// Parallel execution (DESIGN.md §8): with Options::threads > 1 the
-// processor owns a fixed util::ThreadPool and the VM fans independent work
-// out across it — set-operator arms, or/and-children, join inputs, the
-// probe side of hash joins, class-conformance filters, and per-candidate
-// backward expansion. Every fan-out merges by *input order* (ordered
-// merge), so rows, columns, scores, and expanded_views are identical to a
-// serial run; only diagnostics (elapsed time, and in rare short-circuit
-// corners the rule annotation inside `plan`) may differ.
+// Concurrency (DESIGN.md §8): every evaluation runs serially on the
+// calling thread. The processor is immutable after construction and its
+// const methods may be called from many threads at once, so parallelism
+// comes from concurrent queries (Dataspace::Query callers, admission
+// slots, loadgen batches, federation peers), never from inside one.
 
 #ifndef IDM_IQL_QUERY_PROCESSOR_H_
 #define IDM_IQL_QUERY_PROCESSOR_H_
@@ -47,7 +44,6 @@
 #include "rvm/rvm.h"
 #include "util/clock.h"
 #include "util/exec_context.h"
-#include "util/thread_pool.h"
 
 namespace idm::iql {
 
@@ -89,14 +85,6 @@ class QueryProcessor {
     bool use_name_index = true;
     /// Descendant-step strategy (ablation A3.3 compares these).
     Expansion expansion = Expansion::kAuto;
-    /// Evaluation threads. 1 (the default) keeps evaluation strictly
-    /// serial — no pool is created. N > 1 spawns a pool of N workers that
-    /// leaf scans and sub-queries fan out across; results are merged in
-    /// input order and match the serial run view-for-view.
-    size_t threads = 1;
-    /// Minimum items per chunk before an element-wise scan is split
-    /// across the pool (fan-out overhead guard).
-    size_t min_parallel_chunk = 256;
   };
 
   /// All pointers must outlive the processor. \p clock provides now() /
@@ -111,9 +99,8 @@ class QueryProcessor {
 
   /// Parses, plans and evaluates \p iql. The governed overloads thread
   /// \p ctx through every evaluation loop (bounded-stride checks, see
-  /// util/exec_context.h); parallel arms run under Child() contexts so the
-  /// first overrun cancels the siblings. ctx == nullptr (and the
-  /// two-argument forms) run exactly the ungoverned code paths.
+  /// util/exec_context.h). ctx == nullptr (and the two-argument forms) run
+  /// exactly the ungoverned code paths.
   Result<QueryResult> Execute(const std::string& iql) const;
   Result<QueryResult> Execute(const std::string& iql,
                               util::ExecContext* ctx) const;
@@ -169,9 +156,8 @@ class QueryProcessor {
     std::shared_ptr<const PlanProgram> predicate;
   };
 
-  /// Compiles \p query's membership test once (a serial pred program, so
-  /// a one-view batch never fans out to the pool). Unsupported shapes
-  /// return InvalidArgument.
+  /// Compiles \p query's membership test once into a pred program.
+  /// Unsupported shapes return InvalidArgument.
   Result<MatchPlan> PlanMatch(const Query& query) const;
 
   /// True iff the live view \p id is in the (unordered) result set of the
@@ -179,16 +165,11 @@ class QueryProcessor {
   /// simply not members.
   Result<bool> MatchesDoc(const MatchPlan& plan, index::DocId id) const;
 
-  /// The evaluation pool (null when threads <= 1) — exposed so the facade
-  /// can sample its telemetry for DataspaceStats.
-  util::ThreadPool* pool() const { return pool_.get(); }
-
  private:
   const rvm::ReplicaIndexesModule* module_;
   const core::ClassRegistry* classes_;
   Clock* clock_;
   Options options_;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< null when threads <= 1
   mutable std::atomic<uint64_t> plans_{0};
   mutable std::atomic<uint64_t> vm_runs_{0};
 };

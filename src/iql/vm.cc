@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -76,76 +75,33 @@ std::vector<DocId> Difference(const std::vector<DocId>& a,
   return out;
 }
 
-/// Live-id cache shared between a run and its parallel children (computed
-/// at most once per query).
-struct LiveCache {
-  std::once_flag once;
-  Batch ids;
-};
-
 /// Mutable per-run state: rule firings, probe counts and expansion work
-/// accumulate here and parallel children get their own copies that the
-/// parent absorbs back in input order.
+/// accumulate here across the root program and its sub-programs.
 struct VmState {
   const rvm::ReplicaIndexesModule& module;
   const core::ClassRegistry& classes;
   Clock* clock;
   const QueryProcessor::Options& options;
-  util::ThreadPool* pool;
-  LiveCache* live;
-  util::ExecContext* ctx = nullptr;
-  std::unique_ptr<util::ExecContext> ctx_owned;
-  obs::TraceSpan* span = nullptr;
+  util::ExecContext* ctx;
+  obs::TraceSpan* span;
   size_t expanded = 0;
   index::ProbeCounts probes;
   std::set<std::string> rules;
+  Batch live;  ///< all live ids, loaded on first use (once per run)
 
-  VmState(const Vm::Env& env, LiveCache* live_cache, util::ExecContext* c,
-          obs::TraceSpan* s)
+  VmState(const Vm::Env& env, util::ExecContext* c, obs::TraceSpan* s)
       : module(*env.module),
         classes(*env.classes),
         clock(env.clock),
         options(*env.options),
-        pool(env.pool),
-        live(live_cache),
         ctx(c),
         span(s) {}
 
-  /// Child state for a parallel arm: shares the pool and live cache, runs
-  /// under a Child() context (first overrun dooms the family), accumulates
-  /// its own statistics for input-order absorption.
-  VmState(VmState& parent, obs::TraceSpan* arm_span)
-      : module(parent.module),
-        classes(parent.classes),
-        clock(parent.clock),
-        options(parent.options),
-        pool(parent.pool),
-        live(parent.live),
-        span(arm_span) {
-    if (parent.ctx != nullptr) {
-      ctx_owned = parent.ctx->Child();
-      ctx = ctx_owned.get();
-    }
+  const Batch& AllLiveBatch() {
+    if (live == nullptr) live = module.catalog().LiveSnapshot();
+    return live;
   }
-
-  bool Parallel() const { return pool != nullptr && pool->size() > 0; }
-  size_t FanWays() const { return Parallel() ? pool->size() + 1 : 1; }
-
-  void Absorb(VmState& child) {
-    expanded += child.expanded;
-    probes.Merge(child.probes);
-    rules.insert(child.rules.begin(), child.rules.end());
-  }
-
-  const std::vector<DocId>& AllLive() {
-    std::call_once(live->once,
-                   [this] { live->ids = module.catalog().LiveSnapshot(); });
-    return *live->ids;
-  }
-  Batch AllLiveBatch() {
-    AllLive();
-    return live->ids;
-  }
+  const std::vector<DocId>& AllLive() { return *AllLiveBatch(); }
 
   /// accept[k]: the catalog's interned class k equals or specializes
   /// \p wanted — one registry walk per distinct class, not per view.
@@ -158,20 +114,6 @@ struct VmState {
       accept[k] = names[k] == wanted || classes.IsSubclassOf(names[k], wanted);
     }
     return accept;
-  }
-
-  template <typename Fn>
-  std::vector<DocId> ChunkedConcat(size_t n, Fn fn) {
-    auto ranges = util::ChunkRanges(n, FanWays(), options.min_parallel_chunk);
-    if (!Parallel() || ranges.size() <= 1) return fn(0, n);
-    auto parts = util::OrderedParallelMap<std::vector<DocId>>(
-        pool, ranges.size(),
-        [&](size_t i) { return fn(ranges[i].first, ranges[i].second); });
-    std::vector<DocId> out;
-    for (auto& part : parts) {
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
   }
 };
 
@@ -215,18 +157,14 @@ Batch NameMatch(VmState& st, const std::string& pattern) {
     }
     return MakeBatch(std::move(ids));
   }
-  const std::vector<DocId>& live = st.AllLive();
-  return MakeBatch(st.ChunkedConcat(live.size(), [&](size_t begin,
-                                                     size_t end) {
-    std::vector<DocId> out;
-    for (size_t i = begin; i < end; ++i) {
-      if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
-      if (WildcardMatch(pattern, st.module.names().NameOf(live[i]))) {
-        out.push_back(live[i]);
-      }
+  std::vector<DocId> out;
+  for (DocId id : st.AllLive()) {
+    if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
+    if (WildcardMatch(pattern, st.module.names().NameOf(id))) {
+      out.push_back(id);
     }
-    return out;
-  }));
+  }
+  return MakeBatch(std::move(out));
 }
 
 core::Value ResolveLiteral(const VmState& st, const PlanProgram& program,
@@ -240,49 +178,6 @@ core::Value ResolveLiteral(const VmState& st, const PlanProgram& program,
       return core::Value::Date(st.clock->NowMicros());
   }
   return program.literals[op.aux];
-}
-
-/// Parallel and/or group: evaluates every child against the incoming
-/// universe, then folds in input order. Predicates are intersective
-/// (pred(X) == X ∩ pred(U) for X ⊆ U), so this equals the serial
-/// narrowing chain; the AND fold keeps the serial short-circuit, skipping
-/// the remaining children's statistics once the accumulator empties, so
-/// diagnostics match the serial program's too.
-Result<Batch> ExecParGroup(VmState& st, const PlanProgram& program,
-                           const PlanOp& op, const Batch& universe) {
-  const size_t n = op.b;
-  std::vector<obs::TraceSpan*> arm_spans(n, nullptr);
-  if (st.span != nullptr) {
-    for (auto& arm_span : arm_spans) arm_span = st.span->AddChild("pred");
-  }
-  struct ChildOut {
-    Result<Batch> ids;
-    std::unique_ptr<VmState> state;
-  };
-  auto outs = util::OrderedParallelMap<ChildOut>(st.pool, n, [&](size_t i) {
-    auto child = std::make_unique<VmState>(st, arm_spans[i]);
-    Result<Batch> ids =
-        RunPredProgram(*child, *program.subs[op.aux + i], universe);
-    if (arm_spans[i] != nullptr) arm_spans[i]->End();
-    return ChildOut{std::move(ids), std::move(child)};
-  });
-  if (op.flags == 0) {  // and
-    std::vector<DocId> acc = *universe;
-    for (size_t i = 0; i < outs.size(); ++i) {
-      if (i > 0 && acc.empty()) break;
-      if (!outs[i].ids.ok()) return outs[i].ids.status();
-      st.Absorb(*outs[i].state);
-      acc = Intersect(acc, **outs[i].ids);
-    }
-    return MakeBatch(std::move(acc));
-  }
-  std::vector<DocId> acc;  // or
-  for (auto& out : outs) {
-    if (!out.ids.ok()) return out.ids.status();
-    st.Absorb(*out.state);
-    acc = UnionSets(acc, **out.ids);
-  }
-  return MakeBatch(std::move(acc));
 }
 
 /// Descendant step: R4 forward expansion from the frontier, or R6 backward
@@ -308,38 +203,13 @@ Batch ExecExpand(VmState& st, const Batch& frontier_b, const Batch& names_b) {
       expand_scope.get()->SetAttr("candidates",
                                   static_cast<int64_t>(name_set.size()));
     }
-    auto ranges = util::ChunkRanges(name_set.size(), st.FanWays(),
-                                    st.options.min_parallel_chunk);
-    struct ChunkOut {
-      std::vector<DocId> matched;
-      size_t expanded = 0;
-    };
-    auto probe = [&](size_t begin, size_t end) {
-      ChunkOut out;
-      for (size_t c = begin; c < end; ++c) {
-        if (st.ctx != nullptr && st.ctx->doomed()) break;
-        if (st.module.groups().ReachedFromAny(name_set[c], frontier,
-                                              st.options.max_expansion,
-                                              &out.expanded, st.ctx)) {
-          out.matched.push_back(name_set[c]);
-        }
+    for (DocId candidate : name_set) {
+      if (st.ctx != nullptr && st.ctx->doomed()) break;
+      if (st.module.groups().ReachedFromAny(candidate, frontier,
+                                            st.options.max_expansion,
+                                            &st.expanded, st.ctx)) {
+        matched.push_back(candidate);
       }
-      return out;
-    };
-    if (st.Parallel() && ranges.size() > 1) {
-      auto parts = util::OrderedParallelMap<ChunkOut>(
-          st.pool, ranges.size(), [&](size_t c) {
-            return probe(ranges[c].first, ranges[c].second);
-          });
-      for (ChunkOut& part : parts) {
-        matched.insert(matched.end(), part.matched.begin(),
-                       part.matched.end());
-        st.expanded += part.expanded;
-      }
-    } else {
-      ChunkOut all = probe(0, name_set.size());
-      matched = std::move(all.matched);
-      st.expanded += all.expanded;
     }
   } else {
     st.rules.insert("R4:forward-expansion");
@@ -381,16 +251,12 @@ Batch ExecExpand(VmState& st, const Batch& frontier_b, const Batch& names_b) {
 Batch ExecStepChild(VmState& st, const Batch& frontier_b,
                     const Batch& names_b) {
   const std::vector<DocId>& frontier = *frontier_b;
-  std::vector<DocId> children =
-      st.ChunkedConcat(frontier.size(), [&](size_t b, size_t e) {
-        std::vector<DocId> out;
-        for (size_t c = b; c < e; ++c) {
-          if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
-          const auto& ch = st.module.groups().Children(frontier[c]);
-          out.insert(out.end(), ch.begin(), ch.end());
-        }
-        return out;
-      });
+  std::vector<DocId> children;
+  for (DocId id : frontier) {
+    if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
+    const auto& ch = st.module.groups().Children(id);
+    children.insert(children.end(), ch.begin(), ch.end());
+  }
   st.expanded += frontier.size();
   std::sort(children.begin(), children.end());
   children.erase(std::unique(children.begin(), children.end()),
@@ -398,54 +264,25 @@ Batch ExecStepChild(VmState& st, const Batch& frontier_b,
   return MakeBatch(Intersect(children, *names_b));
 }
 
-/// union/intersect/except fold over the sub-programs (parallel arms in
-/// child states, serial arms on this state).
+/// union/intersect/except fold over the sub-programs, run in arm order.
 Result<Batch> ExecSetOp(VmState& st, const PlanProgram& program,
                         const PlanOp& op) {
-  struct ArmOut {
-    Result<QueryResult> result;
-    std::unique_ptr<VmState> state;  ///< null when run in place
-  };
-  const size_t n = op.b;
-  std::vector<ArmOut> arms;
-  arms.reserve(n);
-  if (st.Parallel() && n > 1) {
-    std::vector<obs::TraceSpan*> arm_spans(n, nullptr);
-    if (st.span != nullptr) {
-      for (auto& arm_span : arm_spans) arm_span = st.span->AddChild("arm");
-    }
-    arms = util::OrderedParallelMap<ArmOut>(st.pool, n, [&](size_t i) {
-      auto state = std::make_unique<VmState>(st, arm_spans[i]);
-      Result<QueryResult> sub =
-          RunQueryProgram(*state, *program.subs[op.aux + i]);
-      if (arm_spans[i] != nullptr) arm_spans[i]->End();
-      return ArmOut{std::move(sub), std::move(state)};
-    });
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      SpanScope arm_scope(&st, "arm");
-      arms.push_back(ArmOut{RunQueryProgram(st, *program.subs[op.aux + i]),
-                            nullptr});
-      if (!arms.back().result.ok()) break;  // serial early-out
-    }
-  }
-
   std::vector<DocId> acc;
-  bool first = true;
-  for (ArmOut& arm : arms) {
-    if (!arm.result.ok()) return arm.result.status();
-    if (arm.state != nullptr) st.Absorb(*arm.state);
-    QueryResult& sub = *arm.result;
-    if (sub.columns.size() != 1) {
+  for (size_t i = 0; i < op.b; ++i) {
+    Result<QueryResult> arm = [&] {
+      SpanScope arm_scope(&st, "arm");
+      return RunQueryProgram(st, *program.subs[op.aux + i]);
+    }();
+    if (!arm.ok()) return arm.status();
+    if (arm->columns.size() != 1) {
       return Status::Unimplemented("set operators over join results");
     }
     std::vector<DocId> ids;
-    ids.reserve(sub.rows.size());
-    for (const auto& row : sub.rows) ids.push_back(row[0]);
+    ids.reserve(arm->rows.size());
+    for (const auto& row : arm->rows) ids.push_back(row[0]);
     std::sort(ids.begin(), ids.end());
-    if (first) {
+    if (i == 0) {
       acc = std::move(ids);
-      first = false;
     } else if (op.flags == 0) {
       acc = UnionSets(acc, ids);
     } else if (op.flags == 1) {
@@ -489,38 +326,13 @@ Result<std::optional<std::string>> JoinKey(VmState& st, DocId id,
 Status ExecJoin(VmState& st, const PlanProgram& program, QueryResult* result) {
   const JoinInfo& join = *program.join;
   QueryResult left, right;
-  if (st.Parallel()) {
-    obs::TraceSpan* left_span =
-        st.span == nullptr ? nullptr : st.span->AddChild("join.left");
-    obs::TraceSpan* right_span =
-        st.span == nullptr ? nullptr : st.span->AddChild("join.right");
-    VmState left_state(st, left_span), right_state(st, right_span);
-    std::optional<Result<QueryResult>> left_res, right_res;
-    util::ThreadPool::RunAll(
-        st.pool, {[&] {
-                    left_res.emplace(RunQueryProgram(left_state, *join.left));
-                    if (left_span != nullptr) left_span->End();
-                  },
-                  [&] {
-                    right_res.emplace(
-                        RunQueryProgram(right_state, *join.right));
-                    if (right_span != nullptr) right_span->End();
-                  }});
-    if (!left_res->ok()) return left_res->status();
-    if (!right_res->ok()) return right_res->status();
-    st.Absorb(left_state);
-    st.Absorb(right_state);
-    left = std::move(**left_res);
-    right = std::move(**right_res);
-  } else {
-    {
-      SpanScope left_scope(&st, "join.left");
-      IDM_ASSIGN_OR_RETURN(left, RunQueryProgram(st, *join.left));
-    }
-    {
-      SpanScope right_scope(&st, "join.right");
-      IDM_ASSIGN_OR_RETURN(right, RunQueryProgram(st, *join.right));
-    }
+  {
+    SpanScope left_scope(&st, "join.left");
+    IDM_ASSIGN_OR_RETURN(left, RunQueryProgram(st, *join.left));
+  }
+  {
+    SpanScope right_scope(&st, "join.right");
+    IDM_ASSIGN_OR_RETURN(right, RunQueryProgram(st, *join.right));
   }
   if (left.columns.size() != 1 || right.columns.size() != 1) {
     return Status::Unimplemented("nested join inputs must be unary");
@@ -545,35 +357,6 @@ Status ExecJoin(VmState& st, const PlanProgram& program, QueryResult* result) {
     table[*key].push_back(row[0]);
   }
 
-  struct ProbeOut {
-    std::vector<std::vector<DocId>> rows;
-    size_t matches = 0;
-    Status error;
-  };
-  auto probe_chunk = [&](size_t begin, size_t end) {
-    ProbeOut out;
-    for (size_t r = begin; r < end; ++r) {
-      if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
-      const auto& row = probe.rows[r];
-      Result<std::optional<std::string>> key = JoinKey(st, row[0], probe_ref);
-      if (!key.ok()) {
-        out.error = key.status();
-        return out;
-      }
-      if (!key->has_value()) continue;
-      auto it = table.find(**key);
-      if (it == table.end()) continue;
-      for (DocId match : it->second) {
-        ++out.matches;
-        if (left_is_build) {
-          out.rows.push_back({match, row[0]});
-        } else {
-          out.rows.push_back({row[0], match});
-        }
-      }
-    }
-    return out;
-  };
   SpanScope probe_scope(&st, "join.probe");
   if (probe_scope) {
     probe_scope.get()->SetAttr("build_rows",
@@ -581,27 +364,25 @@ Status ExecJoin(VmState& st, const PlanProgram& program, QueryResult* result) {
     probe_scope.get()->SetAttr("probe_rows",
                                static_cast<int64_t>(probe.rows.size()));
   }
-  auto ranges = util::ChunkRanges(probe.rows.size(), st.FanWays(),
-                                  st.options.min_parallel_chunk);
-  std::vector<ProbeOut> parts;
-  if (st.Parallel() && ranges.size() > 1) {
-    parts =
-        util::OrderedParallelMap<ProbeOut>(st.pool, ranges.size(), [&](size_t c) {
-          return probe_chunk(ranges[c].first, ranges[c].second);
-        });
-  } else if (!probe.rows.empty()) {
-    parts.push_back(probe_chunk(0, probe.rows.size()));
-  }
-  for (ProbeOut& part : parts) {
-    if (!part.error.ok()) return part.error;
-    st.expanded += part.matches;
-    result->rows.insert(result->rows.end(),
-                        std::make_move_iterator(part.rows.begin()),
-                        std::make_move_iterator(part.rows.end()));
+  for (const auto& row : probe.rows) {
+    if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
+    IDM_ASSIGN_OR_RETURN(std::optional<std::string> key,
+                         JoinKey(st, row[0], probe_ref));
+    if (!key.has_value()) continue;
+    auto it = table.find(*key);
+    if (it == table.end()) continue;
+    for (DocId match : it->second) {
+      ++st.expanded;
+      if (left_is_build) {
+        result->rows.push_back({match, row[0]});
+      } else {
+        result->rows.push_back({row[0], match});
+      }
+    }
   }
   std::sort(result->rows.begin(), result->rows.end());
   // Join output is sorted after the probe: truncation is not a prefix, so
-  // a doomed family degrades to the empty prefix (§10).
+  // a doomed context degrades to the empty prefix (§10).
   if (st.ctx != nullptr && st.ctx->doomed()) {
     result->rows.clear();
     result->scores.clear();
@@ -726,18 +507,13 @@ Status ExecOps(VmState& st, const PlanProgram& program,
         const std::vector<char> accept =
             st.ClassAccept(program.strings[op.str]);
         const index::Catalog& catalog = st.module.catalog();
-        regs[op.dst] =
-            MakeBatch(st.ChunkedConcat(universe.size(), [&](size_t begin,
-                                                            size_t end) {
-              std::vector<DocId> out;
-              for (size_t i = begin; i < end; ++i) {
-                if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
-                DocId id = universe[i];
-                uint32_t cls = catalog.ClassId(id);  // kNoClass if unknown
-                if (cls < accept.size() && accept[cls]) out.push_back(id);
-              }
-              return out;
-            }));
+        std::vector<DocId> out;
+        for (DocId id : universe) {
+          if (st.ctx != nullptr && !st.ctx->TickAlive()) break;
+          uint32_t cls = catalog.ClassId(id);  // kNoClass if unknown
+          if (cls < accept.size() && accept[cls]) out.push_back(id);
+        }
+        regs[op.dst] = MakeBatch(std::move(out));
         break;
       }
       case OpCode::kIntersect:
@@ -755,11 +531,6 @@ Status ExecOps(VmState& st, const PlanProgram& program,
       case OpCode::kJumpIfEmpty:
         if (regs[op.a]->empty()) pc = static_cast<size_t>(op.aux) - 1;
         break;
-      case OpCode::kParGroup: {
-        IDM_ASSIGN_OR_RETURN(regs[op.dst],
-                             ExecParGroup(st, program, op, regs[op.a]));
-        break;
-      }
       case OpCode::kStepChild:
         regs[op.dst] = ExecStepChild(st, regs[op.a], regs[op.b]);
         break;
@@ -777,7 +548,7 @@ Status ExecOps(VmState& st, const PlanProgram& program,
         result->columns = {""};
         const std::vector<DocId>& ids = *regs[op.a];
         // §10 prefix capture: only the root materialization is governed;
-        // a family doomed before the loop may have truncated index scans
+        // a context doomed before the loop may have truncated index scans
         // upstream, so it keeps the empty prefix.
         const bool governed = (op.flags & 1) != 0 && st.ctx != nullptr;
         if (governed && st.ctx->doomed()) break;
@@ -839,16 +610,14 @@ Result<Batch> RunPredProgram(VmState& st, const PlanProgram& program,
 
 Result<QueryResult> Vm::Run(const Env& env, const PlanProgram& program,
                             util::ExecContext* ctx, obs::TraceSpan* span) {
-  LiveCache live;
-  VmState state(env, &live, ctx, span);
+  VmState state(env, ctx, span);
   return RunQueryProgram(state, program);
 }
 
 Result<std::vector<DocId>> Vm::RunPred(const Env& env,
                                        const PlanProgram& program,
                                        std::vector<DocId> universe) {
-  LiveCache live;
-  VmState state(env, &live, nullptr, nullptr);
+  VmState state(env, nullptr, nullptr);
   Batch seed = MakeBatch(std::move(universe));
   IDM_ASSIGN_OR_RETURN(Batch ids, RunPredProgram(state, program, seed));
   return *ids;

@@ -3,14 +3,15 @@
 // candidate view ids, shared (not copied) between ops that merely forward
 // it. It is the only query evaluator; tests/iql/reference_eval.h is the
 // naive set-semantics oracle its rows, columns and scores are checked
-// against. Governed runs tick the ExecContext in every loop over views or
-// postings (a deterministic tick schedule and §10 prefix degradation at
-// threads = 1, pinned by goldens); parallel sub-programs fan out over the
-// processor's pool with input-order merges, so results never depend on
-// the thread count. Ungoverned runs take the fast lane: phrase predicates
-// are answered from the inverted index's block-compressed postings
-// (skip-pointer intersection, positions decoded only for survivors)
-// instead of full posting-list decodes.
+// against. Each run is one serial pass over the program on the caller's
+// thread: set-operator arms, join inputs and sub-programs run in order on
+// the same state, so concurrency lives between queries, never inside one
+// (DESIGN.md §8). Governed runs tick the ExecContext in every loop over
+// views or postings (a deterministic tick schedule and §10 prefix
+// degradation, pinned by goldens). Ungoverned runs take the fast lane:
+// phrase predicates are answered from the inverted index's
+// block-compressed postings (skip-pointer intersection, positions decoded
+// only for survivors) instead of full posting-list decodes.
 
 #ifndef IDM_IQL_VM_H_
 #define IDM_IQL_VM_H_
@@ -31,7 +32,6 @@ class Vm {
     const core::ClassRegistry* classes;
     Clock* clock;
     const QueryProcessor::Options* options;
-    util::ThreadPool* pool;  ///< null when threads <= 1
   };
 
   /// Runs the root \p program and returns the raw result — elapsed time,

@@ -7,11 +7,11 @@
 // probes), a checkpoint (wal append/fsync → snapshot write → rotation), a
 // recovery, or a federated query (one span per peer RPC).
 //
-// Concurrency: parallel evaluation arms attach children to a shared parent
-// span; AddChild/SetAttr lock the span they touch, nothing else. For a
-// deterministic tree shape under fan-out, callers pre-create the arm spans
-// in input order *before* scattering and hand each arm its span (the query
-// processor and the federation both do this).
+// Concurrency: federation's per-peer queries attach children to a shared
+// parent span; AddChild/SetAttr lock the span they touch, nothing else.
+// For a deterministic tree shape under fan-out, the federation pre-creates
+// the peer spans in registration order *before* scattering and hands each
+// peer its span.
 //
 // Exports:
 //   ToJson() — Chrome trace_event "Complete" events (load into

@@ -18,42 +18,21 @@ Status MemoryBudget::TryCharge(size_t bytes) {
   while (after > peak &&
          !peak_.compare_exchange_weak(peak, after, std::memory_order_relaxed)) {
   }
-  if (parent_ != nullptr) {
-    Status up = parent_->TryCharge(bytes);
-    if (!up.ok()) {
-      used_.fetch_sub(bytes, std::memory_order_relaxed);
-      return up;
-    }
-  }
   return Status::OK();
 }
 
 void MemoryBudget::Release(size_t bytes) {
   used_.fetch_sub(bytes, std::memory_order_relaxed);
-  if (parent_ != nullptr) parent_->Release(bytes);
 }
 
 // ---------------------------------------------------------------------------
 // ExecContext
 
 ExecContext::ExecContext(const Clock* clock, Limits limits)
-    : family_(std::make_shared<Family>(clock, limits)),
-      budget_(&family_->budget) {}
-
-ExecContext::ExecContext(std::shared_ptr<Family> family,
-                         std::unique_ptr<MemoryBudget> own_budget)
-    : family_(std::move(family)),
-      own_budget_(std::move(own_budget)),
-      budget_(own_budget_.get()) {}
-
-std::unique_ptr<ExecContext> ExecContext::Child() {
-  // Same byte limit as the family (a child may not exceed the query's
-  // budget on its own); charges roll up to the root budget.
-  auto sub = std::make_unique<MemoryBudget>(family_->limits.memory_limit_bytes,
-                                            &family_->budget);
-  return std::unique_ptr<ExecContext>(
-      new ExecContext(family_, std::move(sub)));
-}
+    : clock_(clock),
+      limits_(limits),
+      start_micros_(clock != nullptr ? clock->NowMicros() : 0),
+      budget_(limits.memory_limit_bytes) {}
 
 void ExecContext::Cancel(Status reason) {
   if (reason.ok()) reason = Status::Cancelled("execution cancelled");
@@ -62,15 +41,15 @@ void ExecContext::Cancel(Status reason) {
 
 void ExecContext::Doom(Status reason) {
   {
-    std::lock_guard<std::mutex> lock(family_->mu);
-    if (family_->doom.ok()) family_->doom = std::move(reason);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (doom_.ok()) doom_ = std::move(reason);
   }
-  family_->doomed.store(true, std::memory_order_release);
+  doomed_.store(true, std::memory_order_release);
 }
 
 Status ExecContext::DoomStatus() const {
-  std::lock_guard<std::mutex> lock(family_->mu);
-  return family_->doom;
+  std::lock_guard<std::mutex> lock(mu_);
+  return doom_;
 }
 
 Status ExecContext::status() const {
@@ -79,28 +58,25 @@ Status ExecContext::status() const {
 }
 
 Micros ExecContext::elapsed_micros() const {
-  Micros elapsed = family_->charged.load(std::memory_order_relaxed);
-  if (family_->clock != nullptr) {
-    elapsed += family_->clock->NowMicros() - family_->start_micros;
-  }
+  Micros elapsed = charged_.load(std::memory_order_relaxed);
+  if (clock_ != nullptr) elapsed += clock_->NowMicros() - start_micros_;
   return elapsed;
 }
 
 Micros ExecContext::remaining_micros() const {
-  if (family_->limits.deadline_micros <= 0) {
+  if (limits_.deadline_micros <= 0) {
     return std::numeric_limits<Micros>::max();
   }
-  Micros left = family_->limits.deadline_micros - elapsed_micros();
+  Micros left = limits_.deadline_micros - elapsed_micros();
   return left > 0 ? left : 0;
 }
 
 Status ExecContext::Check() {
-  Family& f = *family_;
-  if (f.doomed.load(std::memory_order_acquire)) return DoomStatus();
-  if (f.limits.deadline_micros > 0 &&
-      elapsed_micros() > f.limits.deadline_micros) {
+  if (doomed()) return DoomStatus();
+  if (limits_.deadline_micros > 0 &&
+      elapsed_micros() > limits_.deadline_micros) {
     Doom(Status::DeadlineExceeded(
-        "deadline of " + std::to_string(f.limits.deadline_micros) +
+        "deadline of " + std::to_string(limits_.deadline_micros) +
         "us exceeded"));
     return DoomStatus();
   }
@@ -108,40 +84,39 @@ Status ExecContext::Check() {
 }
 
 Status ExecContext::Tick(uint64_t n) {
-  Family& f = *family_;
-  if (f.doomed.load(std::memory_order_acquire)) return DoomStatus();
+  if (doomed()) return DoomStatus();
 
-  uint64_t before = f.steps.fetch_add(n, std::memory_order_relaxed);
+  uint64_t before = steps_.fetch_add(n, std::memory_order_relaxed);
   uint64_t after = before + n;
 
-  if (f.limits.cancel_at_step > 0 && after >= f.limits.cancel_at_step &&
-      before < f.limits.cancel_at_step) {
+  if (limits_.cancel_at_step > 0 && after >= limits_.cancel_at_step &&
+      before < limits_.cancel_at_step) {
     // Exactly one Tick crosses the injection point (fetch_add hands out
     // disjoint ranges), so the cancellation fires once, deterministically
     // by step count.
     Doom(Status::Cancelled("cancelled at step " +
-                           std::to_string(f.limits.cancel_at_step)));
+                           std::to_string(limits_.cancel_at_step)));
     return DoomStatus();
   }
-  if (f.limits.max_steps > 0 && after > f.limits.max_steps) {
+  if (limits_.max_steps > 0 && after > limits_.max_steps) {
     Doom(Status::ResourceExhausted(
-        "step budget of " + std::to_string(f.limits.max_steps) +
+        "step budget of " + std::to_string(limits_.max_steps) +
         " steps exceeded"));
     return DoomStatus();
   }
-  if (f.limits.micros_per_step > 0) {
-    f.charged.fetch_add(static_cast<Micros>(n) * f.limits.micros_per_step,
-                        std::memory_order_relaxed);
+  if (limits_.micros_per_step > 0) {
+    charged_.fetch_add(static_cast<Micros>(n) * limits_.micros_per_step,
+                       std::memory_order_relaxed);
   }
-  if (f.limits.deadline_micros > 0) {
+  if (limits_.deadline_micros > 0) {
     // With a per-step cost the deadline comparison is pure arithmetic, so
     // it runs on every Tick and the doom step is exact. Otherwise the
     // clock is only consulted at stride boundaries.
     bool crossed_stride = before / kStride != after / kStride || n >= kStride;
-    if (f.limits.micros_per_step > 0 || crossed_stride) {
-      if (elapsed_micros() > f.limits.deadline_micros) {
+    if (limits_.micros_per_step > 0 || crossed_stride) {
+      if (elapsed_micros() > limits_.deadline_micros) {
         Doom(Status::DeadlineExceeded(
-            "deadline of " + std::to_string(f.limits.deadline_micros) +
+            "deadline of " + std::to_string(limits_.deadline_micros) +
             "us exceeded after " + std::to_string(after) + " steps"));
         return DoomStatus();
       }
@@ -151,8 +126,8 @@ Status ExecContext::Tick(uint64_t n) {
 }
 
 Status ExecContext::ChargeMemory(size_t bytes) {
-  if (family_->doomed.load(std::memory_order_acquire)) return DoomStatus();
-  Status charged = budget_->TryCharge(bytes);
+  if (doomed()) return DoomStatus();
+  Status charged = budget_.TryCharge(bytes);
   if (!charged.ok()) {
     Doom(charged);
     return DoomStatus();
@@ -160,6 +135,6 @@ Status ExecContext::ChargeMemory(size_t bytes) {
   return Status::OK();
 }
 
-void ExecContext::ReleaseMemory(size_t bytes) { budget_->Release(bytes); }
+void ExecContext::ReleaseMemory(size_t bytes) { budget_.Release(bytes); }
 
 }  // namespace idm::util

@@ -4,18 +4,17 @@
 // components (paper §2, §4.1), so a single evaluation can legitimately try
 // to materialize unbounded work. ExecContext is the cooperative governor
 // threaded through every execution loop: a deadline on the clock, a
-// cancellation flag, a step budget, and a hierarchical memory budget.
+// cancellation flag, a step budget, and a memory budget.
 //
-// One *family* of contexts governs one query. The root context is created
-// by the caller; every parallel arm (thread-pool fan-out, federation peer)
-// runs under a Child() that shares the family's cancellation flag, step
-// counter, deadline and simulated-cost accumulator, but owns a sub-budget
-// of the memory budget. The first arm to overrun any limit dooms the whole
-// family, so siblings observe the failure at their next Tick() and unwind
-// — first overrun cancels siblings.
+// One context governs one query. The caller creates it; the VM evaluates
+// the query serially under it, and a federated query passes the same
+// context to every peer it scatters to. Its state is atomic (the doom
+// reason is mutex-guarded), so threads that share one context observe the
+// first overrun at their next Tick() and unwind — first overrun cancels
+// every worker.
 //
 // Checks are cheap by construction: Tick() is one relaxed fetch_add on the
-// shared step counter; the clock is consulted only every kStride counted
+// step counter; the clock is consulted only every kStride counted
 // steps (or on every step when a simulated per-step cost makes the
 // comparison pure arithmetic). Code that is handed a nullptr context runs
 // exactly as before — governance off is the zero-cost default.
@@ -26,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -35,24 +33,21 @@
 
 namespace idm::util {
 
-/// Hierarchical byte budget. Charges propagate to the parent chain, so the
-/// root budget bounds the sum over all children while each child may also
-/// carry its own (tighter) limit. Thread-safe; Release() must not exceed
-/// what the same caller charged.
+/// Byte budget. Thread-safe; Release() must not exceed what the same
+/// caller charged.
 class MemoryBudget {
  public:
   /// \p limit_bytes == 0 means "account but never refuse".
-  explicit MemoryBudget(size_t limit_bytes, MemoryBudget* parent = nullptr)
-      : limit_(limit_bytes), parent_(parent) {}
+  explicit MemoryBudget(size_t limit_bytes) : limit_(limit_bytes) {}
 
   MemoryBudget(const MemoryBudget&) = delete;
   MemoryBudget& operator=(const MemoryBudget&) = delete;
 
-  /// Reserves \p bytes against this budget and every ancestor. On overrun
-  /// nothing remains charged and kResourceExhausted is returned.
+  /// Reserves \p bytes. On overrun nothing remains charged and
+  /// kResourceExhausted is returned.
   Status TryCharge(size_t bytes);
 
-  /// Returns \p bytes to this budget and every ancestor.
+  /// Returns \p bytes to the budget.
   void Release(size_t bytes);
 
   size_t limit() const { return limit_; }
@@ -62,13 +57,12 @@ class MemoryBudget {
 
  private:
   const size_t limit_;
-  MemoryBudget* const parent_;
   std::atomic<size_t> used_{0};
   std::atomic<size_t> peak_{0};
 };
 
 /// Per-query governor: deadline, cancellation, step budget, memory budget.
-/// See the file comment for the family/child model.
+/// See the file comment for how threads share one.
 class ExecContext {
  public:
   /// All limits default to 0 = "unlimited"; a context with no limit set
@@ -78,13 +72,12 @@ class ExecContext {
     /// creation, plus any simulated evaluation cost charged via
     /// micros_per_step. Overrun -> kDeadlineExceeded.
     Micros deadline_micros = 0;
-    /// Evaluation-step budget across the whole family. Overrun ->
-    /// kResourceExhausted.
+    /// Evaluation-step budget of the query. Overrun -> kResourceExhausted.
     uint64_t max_steps = 0;
-    /// Test hook: the family is cancelled (kCancelled) when the shared
-    /// step counter crosses this value. Exact: the crossing Tick fails.
+    /// Test hook: the context is cancelled (kCancelled) when the step
+    /// counter crosses this value. Exact: the crossing Tick fails.
     uint64_t cancel_at_step = 0;
-    /// Byte budget of the root MemoryBudget. Overrun -> kResourceExhausted.
+    /// Byte budget of the MemoryBudget. Overrun -> kResourceExhausted.
     size_t memory_limit_bytes = 0;
     /// Simulated evaluation cost charged per counted step. With a SimClock
     /// this is what makes deadlines *deterministic*: the doom step is
@@ -103,25 +96,19 @@ class ExecContext {
   /// cost makes every-step checks pure arithmetic).
   static constexpr uint64_t kStride = 128;
 
-  /// Root context. \p clock may be nullptr (deadline then measures only
-  /// simulated per-step cost).
+  /// \p clock may be nullptr (deadline then measures only simulated
+  /// per-step cost).
   ExecContext(const Clock* clock, Limits limits);
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
-  /// Child for a parallel arm: shares the family state, carves a
-  /// sub-budget (same byte limit, charges roll up to the root).
-  std::unique_ptr<ExecContext> Child();
-
-  /// Cooperatively cancels the whole family with \p reason.
+  /// Cooperatively cancels the query with \p reason.
   void Cancel(Status reason);
 
-  /// True once any limit overran or Cancel() was called. Doomed families
-  /// never recover; every subsequent Tick()/Check() returns status().
-  bool doomed() const {
-    return family_->doomed.load(std::memory_order_acquire);
-  }
+  /// True once any limit overran or Cancel() was called. A doomed context
+  /// never recovers; every subsequent Tick()/Check() returns status().
+  bool doomed() const { return doomed_.load(std::memory_order_acquire); }
 
   /// OK while live; the first doom reason afterwards.
   Status status() const;
@@ -132,26 +119,26 @@ class ExecContext {
   Status Tick(uint64_t n = 1);
 
   /// Tick() for loops that cannot propagate a Status: false means "stop,
-  /// the family is doomed" (the caller's caller reports status()).
+  /// the context is doomed" (the caller's caller reports status()).
   bool TickAlive(uint64_t n = 1) { return Tick(n).ok(); }
 
   /// Full check without counting work (admission points, loop preambles).
   Status Check();
 
-  /// Reserves bytes against this context's memory budget; dooms the family
-  /// on overrun.
+  /// Reserves bytes against this context's memory budget; dooms the
+  /// context on overrun.
   Status ChargeMemory(size_t bytes);
   void ReleaseMemory(size_t bytes);
 
   // --- observability -------------------------------------------------------
   uint64_t steps_used() const {
-    return family_->steps.load(std::memory_order_relaxed);
+    return steps_.load(std::memory_order_relaxed);
   }
-  /// Peak bytes of the *root* budget (the whole family's high water).
-  size_t bytes_peak() const { return family_->budget.peak(); }
+  /// High-water mark of the memory budget.
+  size_t bytes_peak() const { return budget_.peak(); }
   /// Simulated evaluation cost accumulated via micros_per_step.
   Micros charged_micros() const {
-    return family_->charged.load(std::memory_order_relaxed);
+    return charged_.load(std::memory_order_relaxed);
   }
   /// Clock time since creation plus simulated evaluation cost.
   Micros elapsed_micros() const;
@@ -159,38 +146,23 @@ class ExecContext {
   /// deadline is set. Federation derives per-peer deadlines from this.
   Micros remaining_micros() const;
 
-  const Clock* clock() const { return family_->clock; }
-  const Limits& limits() const { return family_->limits; }
+  const Clock* clock() const { return clock_; }
+  const Limits& limits() const { return limits_; }
 
  private:
-  struct Family {
-    const Clock* clock;
-    Limits limits;
-    Micros start_micros;
-    std::atomic<uint64_t> steps{0};
-    std::atomic<Micros> charged{0};
-    std::atomic<bool> doomed{false};
-    std::mutex mu;
-    Status doom;  ///< guarded by mu; set exactly once
-    MemoryBudget budget;
-
-    Family(const Clock* c, Limits l)
-        : clock(c),
-          limits(l),
-          start_micros(c != nullptr ? c->NowMicros() : 0),
-          budget(l.memory_limit_bytes) {}
-  };
-
-  ExecContext(std::shared_ptr<Family> family,
-              std::unique_ptr<MemoryBudget> own_budget);
-
-  /// Records \p reason as the family's doom (first writer wins).
+  /// Records \p reason as the doom (first writer wins).
   void Doom(Status reason);
   Status DoomStatus() const;
 
-  std::shared_ptr<Family> family_;
-  std::unique_ptr<MemoryBudget> own_budget_;  ///< null on the root
-  MemoryBudget* budget_;                      ///< family root or own_budget_
+  const Clock* const clock_;
+  const Limits limits_;
+  const Micros start_micros_;
+  std::atomic<uint64_t> steps_{0};
+  std::atomic<Micros> charged_{0};
+  std::atomic<bool> doomed_{false};
+  mutable std::mutex mu_;
+  Status doom_;  ///< guarded by mu_; set exactly once
+  MemoryBudget budget_;
 };
 
 /// RAII memory reservation against an ExecContext (which may be nullptr:
@@ -204,7 +176,7 @@ class ScopedCharge {
   ScopedCharge(const ScopedCharge&) = delete;
   ScopedCharge& operator=(const ScopedCharge&) = delete;
 
-  /// Adds \p bytes to the reservation; dooms the family on overrun.
+  /// Adds \p bytes to the reservation; dooms the context on overrun.
   Status Add(size_t bytes) {
     if (ctx_ == nullptr) return Status::OK();
     IDM_RETURN_NOT_OK(ctx_->ChargeMemory(bytes));

@@ -1,6 +1,5 @@
 #include "util/thread_pool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 
@@ -109,23 +108,6 @@ ThreadPoolTelemetry ThreadPool::telemetry() const {
   t.queue_depth_peak = queue_depth_peak_.load(std::memory_order_relaxed);
   t.busy_micros = busy_micros_.load(std::memory_order_relaxed);
   return t;
-}
-
-std::vector<std::pair<size_t, size_t>> ChunkRanges(size_t n, size_t ways,
-                                                   size_t min_chunk) {
-  std::vector<std::pair<size_t, size_t>> ranges;
-  if (n == 0) return ranges;
-  if (ways < 1) ways = 1;
-  if (min_chunk < 1) min_chunk = 1;
-  size_t chunks = std::min(ways, std::max<size_t>(1, n / min_chunk));
-  size_t base = n / chunks, extra = n % chunks;
-  size_t begin = 0;
-  for (size_t i = 0; i < chunks; ++i) {
-    size_t len = base + (i < extra ? 1 : 0);
-    ranges.emplace_back(begin, begin + len);
-    begin += len;
-  }
-  return ranges;
 }
 
 }  // namespace idm::util

@@ -1,4 +1,6 @@
-// Fixed-size thread pool for intra-query parallelism (DESIGN.md §8).
+// Fixed-size thread pool for running independent queries concurrently
+// (DESIGN.md §8): loadgen's query batches and federation's per-peer
+// scatter-gather. A single query never fans out on it.
 //
 // The pool is deliberately minimal: a bounded set of workers, a FIFO task
 // queue, and futures for completion. Determinism is the caller's contract —
@@ -107,12 +109,6 @@ std::vector<T> OrderedParallelMap(ThreadPool* pool, size_t n, Fn fn) {
   for (auto& slot : slots) out.push_back(std::move(*slot));
   return out;
 }
-
-/// Chunk boundaries for splitting \p n items across \p ways workers with at
-/// least \p min_chunk items per chunk: pairs of [begin, end). Returns one
-/// chunk (or none for n == 0) when parallelism is not worth it.
-std::vector<std::pair<size_t, size_t>> ChunkRanges(size_t n, size_t ways,
-                                                   size_t min_chunk);
 
 }  // namespace idm::util
 

@@ -4,22 +4,24 @@
 // the deliberately naive ReferenceEvaluator (reference_eval.h) — columns,
 // rows (order included) and tf-idf scores (bitwise) — over the Table 4
 // analog catalog, extra operator shapes and a seeded random query
-// generator over the workload vocabulary (the fuzz corpus), at thread
-// counts 1/2/4/8, and with descendant steps forced forward or backward.
+// generator over the workload vocabulary (the fuzz corpus), with
+// descendant steps forced forward or backward, and under four threads
+// querying one shared Dataspace at once, with the result cache off and on.
 // MatchesDoc, the subscription fast path, is checked view by view against
-// the oracle's result sets. At threads = 1 the governed step schedule,
-// expansion work and probe counts are pinned by goldens and every §10
-// degraded result must be a prefix of the complete one.
+// the oracle's result sets. The governed step schedule, expansion work and
+// probe counts are pinned by goldens and every §10 degraded result must be
+// a prefix of the complete one.
 //
 // The suite also pins the Prepare/Explain handle API: golden Explain()
 // listings for the Table 4 shapes, plan-keyed result-cache sharing across
-// reordered conjuncts (the §16 cache-key fix), and the PreparedQuery
-// lifecycle.
+// reordered conjuncts (the §16 cache-key fix), cached replays equal to
+// fresh evaluations, and the PreparedQuery lifecycle.
 
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -79,6 +81,14 @@ const std::vector<std::string>& ExtraQueries() {
       "//VLDB2006//*",
       // A ranked multi-phrase filter with tied scores.
       "\"database\" or \"tuning\"",
+      // A ranked phrase, a one-step path, class filters over all views and
+      // under a descendant step, one tuple-index seed, a union of paths.
+      "\"indexing time\"",
+      "//papers",
+      "//*[class=\"emailmessage\"]",
+      "[size > 1000]",
+      "union(//papers//*.tex, //VLDB2006//*.tex)",
+      "//VLDB2006//*[class=\"environment\"]",
   };
   return kQueries;
 }
@@ -197,19 +207,24 @@ class VmDifferentialTest : public ::testing::Test {
     ds_ = nullptr;
   }
 
+  /// The Table 4 queries followed by the extra shapes.
+  static std::vector<std::string> CatalogQueries() {
+    std::vector<std::string> queries = Table4Queries();
+    queries.insert(queries.end(), ExtraQueries().begin(),
+                   ExtraQueries().end());
+    return queries;
+  }
+
   static std::unique_ptr<QueryProcessor> MakeProcessor(
-      Dataspace& ds, size_t threads,
+      Dataspace& ds,
       QueryProcessor::Expansion expansion = QueryProcessor::Expansion::kAuto) {
     QueryProcessor::Options options;
-    options.threads = threads;
     options.expansion = expansion;
-    // Force chunked scans onto the pool even at Small scale.
-    options.min_parallel_chunk = threads > 1 ? 8 : 256;
     return std::make_unique<QueryProcessor>(&ds.module(), &ds.classes(),
                                             ds.clock(), options);
   }
-  static std::unique_ptr<QueryProcessor> MakeProcessor(size_t threads) {
-    return MakeProcessor(*ds_, threads);
+  static std::unique_ptr<QueryProcessor> MakeProcessor() {
+    return MakeProcessor(*ds_);
   }
 
   static ReferenceEvaluator Reference(Dataspace& ds) {
@@ -221,9 +236,8 @@ class VmDifferentialTest : public ::testing::Test {
   /// (bitwise: same accumulation order).
   static void ExpectMatchesReference(const Result<QueryResult>& expected,
                                      const Result<QueryResult>& vm,
-                                     const std::string& query,
-                                     size_t threads) {
-    SCOPED_TRACE("query=" + query + " threads=" + std::to_string(threads));
+                                     const std::string& query) {
+    SCOPED_TRACE("query=" + query);
     ASSERT_EQ(expected.ok(), vm.ok())
         << (vm.ok() ? expected.status() : vm.status()).ToString();
     if (!expected.ok()) {
@@ -235,6 +249,17 @@ class VmDifferentialTest : public ::testing::Test {
     EXPECT_EQ(expected->scores, vm->scores);
   }
 
+  /// Diagnostics that must not depend on who else is querying: the
+  /// expansion work and the index probes of \p serial's evaluation.
+  static void ExpectSameWork(const QueryResult& serial,
+                             const QueryResult& got) {
+    EXPECT_EQ(got.expanded_views, serial.expanded_views);
+    EXPECT_EQ(got.probes.name_lookups, serial.probes.name_lookups);
+    EXPECT_EQ(got.probes.content_phrases, serial.probes.content_phrases);
+    EXPECT_EQ(got.probes.tuple_scans, serial.probes.tuple_scans);
+    EXPECT_EQ(got.probes.graph_walks, serial.probes.graph_walks);
+  }
+
   static Dataspace* ds_;
   static workload::BuiltDataspace* built_;
 };
@@ -244,10 +269,9 @@ workload::BuiltDataspace* VmDifferentialTest::built_ = nullptr;
 
 // --- reference oracle -------------------------------------------------------
 
-TEST_F(VmDifferentialTest, VmMatchesReferenceOnCatalogAllThreadCounts) {
+TEST_F(VmDifferentialTest, VmMatchesReferenceOnCatalog) {
   ReferenceEvaluator reference = Reference(*ds_);
-  std::vector<std::string> queries = Table4Queries();
-  queries.insert(queries.end(), ExtraQueries().begin(), ExtraQueries().end());
+  const std::vector<std::string> queries = CatalogQueries();
   std::vector<Result<QueryResult>> expected;
   for (const std::string& text : queries) {
     Result<Query> query = ParseQuery(text);
@@ -255,30 +279,12 @@ TEST_F(VmDifferentialTest, VmMatchesReferenceOnCatalogAllThreadCounts) {
     expected.push_back(reference.Evaluate(*query));
     ASSERT_TRUE(expected.back().ok()) << text;
   }
-  std::vector<QueryResult> serial;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    std::unique_ptr<QueryProcessor> vm = MakeProcessor(threads);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      Result<QueryResult> got = vm->Execute(queries[i]);
-      ExpectMatchesReference(expected[i], got, queries[i], threads);
-      if (!got.ok()) continue;
-      // Diagnostics are the engine's own; the pool must not move them.
-      if (threads == 1) {
-        serial.push_back(*got);
-        continue;
-      }
-      SCOPED_TRACE("query=" + queries[i] + " threads=" +
-                   std::to_string(threads));
-      EXPECT_EQ(got->plan, serial[i].plan);  // includes the rules ledger
-      EXPECT_EQ(got->expanded_views, serial[i].expanded_views);
-      EXPECT_EQ(got->probes.name_lookups, serial[i].probes.name_lookups);
-      EXPECT_EQ(got->probes.content_phrases, serial[i].probes.content_phrases);
-      EXPECT_EQ(got->probes.tuple_scans, serial[i].probes.tuple_scans);
-      EXPECT_EQ(got->probes.graph_walks, serial[i].probes.graph_walks);
-    }
-    EXPECT_EQ(vm->engine_stats().vm_runs, queries.size());
-    EXPECT_EQ(vm->engine_stats().plans, queries.size());
+  std::unique_ptr<QueryProcessor> vm = MakeProcessor();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ExpectMatchesReference(expected[i], vm->Execute(queries[i]), queries[i]);
   }
+  EXPECT_EQ(vm->engine_stats().vm_runs, queries.size());
+  EXPECT_EQ(vm->engine_stats().plans, queries.size());
   // Every Table 4 analog but Q3 (its size bound is above every Small
   // file) answers something, so the comparison is not vacuous.
   for (size_t i = 0; i < Table4Queries().size(); ++i) {
@@ -286,23 +292,74 @@ TEST_F(VmDifferentialTest, VmMatchesReferenceOnCatalogAllThreadCounts) {
   }
 }
 
+TEST_F(VmDifferentialTest, ConcurrentQueriesMatchReference) {
+  // Cores go to concurrent queries, not into one: four threads run the
+  // catalog through one shared Dataspace, each starting at a different
+  // query. Every answer must be the oracle's and carry the serial run's
+  // expansion work and probe counts, whether it was evaluated or replayed
+  // from the result cache.
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 3;
+  const std::vector<std::string> queries = CatalogQueries();
+  for (bool cache : {false, true}) {
+    SCOPED_TRACE(cache ? "cache on" : "cache off");
+    Dataspace::Config config;
+    config.cache.enabled = cache;
+    Dataspace local(config);
+    workload::BuiltDataspace built =
+        workload::Generate(workload::DataspaceSpec::Small(), local.clock());
+    ASSERT_TRUE(local.AddFileSystem("Filesystem", built.fs).ok());
+    ASSERT_TRUE(local.AddImap("Email / IMAP", built.imap).ok());
+
+    ReferenceEvaluator reference = Reference(local);
+    std::vector<Result<QueryResult>> expected;
+    std::vector<QueryResult> serial;
+    for (const std::string& text : queries) {
+      Result<Query> query = ParseQuery(text);
+      ASSERT_TRUE(query.ok()) << text;
+      expected.push_back(reference.Evaluate(*query));
+      Result<QueryResult> run = local.processor().Evaluate(*query);
+      ASSERT_TRUE(run.ok()) << text << ": " << run.status();
+      serial.push_back(*std::move(run));
+    }
+
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (size_t k = 0; k < kRounds * queries.size(); ++k) {
+          const size_t i =
+              (t * queries.size() / kThreads + k) % queries.size();
+          Result<QueryResult> got = local.Query(queries[i]);
+          ExpectMatchesReference(expected[i], got, queries[i]);
+          if (got.ok()) {
+            SCOPED_TRACE("query=" + queries[i]);
+            ExpectSameWork(serial[i], *got);
+          }
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+    const QueryCache::Stats stats = local.Stats().cache;
+    if (cache) {
+      EXPECT_GT(stats.hits, 0u);
+    } else {
+      EXPECT_EQ(stats.hits + stats.misses, 0u);
+    }
+  }
+}
+
 TEST_F(VmDifferentialTest, ForcedExpansionDirectionsMatchReference) {
   // Descendant steps answer the same whichever way they walk: down from
   // the frontier, or up from each candidate.
   ReferenceEvaluator reference = Reference(*ds_);
-  std::vector<std::string> queries = Table4Queries();
-  queries.insert(queries.end(), ExtraQueries().begin(), ExtraQueries().end());
   for (auto expansion : {QueryProcessor::Expansion::kForward,
                          QueryProcessor::Expansion::kBackward}) {
-    for (size_t threads : {1u, 4u}) {
-      std::unique_ptr<QueryProcessor> vm =
-          MakeProcessor(*ds_, threads, expansion);
-      for (const std::string& text : queries) {
-        Result<Query> query = ParseQuery(text);
-        ASSERT_TRUE(query.ok()) << text;
-        ExpectMatchesReference(reference.Evaluate(*query),
-                               vm->Evaluate(*query), text, threads);
-      }
+    std::unique_ptr<QueryProcessor> vm = MakeProcessor(*ds_, expansion);
+    for (const std::string& text : CatalogQueries()) {
+      Result<Query> query = ParseQuery(text);
+      ASSERT_TRUE(query.ok()) << text;
+      ExpectMatchesReference(reference.Evaluate(*query), vm->Evaluate(*query),
+                             text);
     }
   }
 }
@@ -325,12 +382,9 @@ TEST_F(VmDifferentialTest, FuzzGeneratedQueriesAgree) {
     if (expected.back().ok() && !expected.back()->rows.empty()) ++nonempty;
   }
   EXPECT_GT(nonempty, parsed.size() / 4);  // most draws are not vacuous
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    std::unique_ptr<QueryProcessor> vm = MakeProcessor(threads);
-    for (size_t i = 0; i < parsed.size(); ++i) {
-      ExpectMatchesReference(expected[i], vm->Evaluate(parsed[i]), texts[i],
-                             threads);
-    }
+  std::unique_ptr<QueryProcessor> vm = MakeProcessor();
+  for (size_t i = 0; i < parsed.size(); ++i) {
+    ExpectMatchesReference(expected[i], vm->Evaluate(parsed[i]), texts[i]);
   }
 }
 
@@ -375,34 +429,31 @@ TEST_F(VmDifferentialTest, MatchesDocAgreesWithReference) {
     shapes.push_back(std::move(*query));
   }
   ASSERT_GT(shapes.size(), 50u);
-  for (size_t threads : {1u, 4u}) {
-    std::unique_ptr<QueryProcessor> vm = MakeProcessor(local, threads);
-    for (size_t s = 0; s < shapes.size(); ++s) {
-      SCOPED_TRACE("shape=" + ToString(shapes[s]) +
-                   " threads=" + std::to_string(threads));
-      // The full evaluation agrees with the oracle on the mutated catalog.
-      Result<QueryResult> full = vm->Evaluate(shapes[s]);
-      ASSERT_TRUE(full.ok());
-      std::set<index::DocId> rows;
-      for (const auto& row : full->rows) rows.insert(row[0]);
-      EXPECT_EQ(rows, members[s]);
-      Result<QueryProcessor::MatchPlan> plan = vm->PlanMatch(shapes[s]);
-      ASSERT_TRUE(plan.ok()) << plan.status();
-      for (index::DocId id : ids) {
-        Result<bool> hit = vm->MatchesDoc(*plan, id);
-        ASSERT_TRUE(hit.ok()) << hit.status();
-        EXPECT_EQ(*hit, members[s].count(id) > 0) << "id=" << id;
-      }
+  std::unique_ptr<QueryProcessor> vm = MakeProcessor(local);
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    SCOPED_TRACE("shape=" + ToString(shapes[s]));
+    // The full evaluation agrees with the oracle on the mutated catalog.
+    Result<QueryResult> full = vm->Evaluate(shapes[s]);
+    ASSERT_TRUE(full.ok());
+    std::set<index::DocId> rows;
+    for (const auto& row : full->rows) rows.insert(row[0]);
+    EXPECT_EQ(rows, members[s]);
+    Result<QueryProcessor::MatchPlan> plan = vm->PlanMatch(shapes[s]);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    for (index::DocId id : ids) {
+      Result<bool> hit = vm->MatchesDoc(*plan, id);
+      ASSERT_TRUE(hit.ok()) << hit.status();
+      EXPECT_EQ(*hit, members[s].count(id) > 0) << "id=" << id;
     }
   }
   // Unsupported shapes are refused, not guessed.
   Result<Query> ranked = ParseQuery("\"database\"");
   ASSERT_TRUE(ranked.ok());
-  EXPECT_FALSE(MakeProcessor(local, 1)->PlanMatch(*ranked).ok());
+  EXPECT_FALSE(vm->PlanMatch(*ranked).ok());
 }
 
 TEST_F(VmDifferentialTest, GovernedStepBudgetsKeepGoldenSchedule) {
-  // At threads = 1 governed evaluation is deterministic: the steps a
+  // Governed evaluation is deterministic: the steps a
   // complete governed run counts are pinned per Table 4 query, and every
   // budgeted run degrades to a prefix of the complete result (§10) —
   // the empty one for ranked queries, whose order is not a
@@ -417,7 +468,7 @@ TEST_F(VmDifferentialTest, GovernedStepBudgetsKeepGoldenSchedule) {
   const std::vector<std::vector<uint64_t>> kProbes = {
       {0, 1, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {2, 1, 0, 1},
       {2, 1, 0, 1}, {2, 2, 0, 2}, {3, 0, 0, 3}, {3, 0, 0, 2}};
-  std::unique_ptr<QueryProcessor> vm = MakeProcessor(1);
+  std::unique_ptr<QueryProcessor> vm = MakeProcessor();
   ASSERT_EQ(kCompleteSteps.size(), Table4Queries().size());
   for (size_t q = 0; q < Table4Queries().size(); ++q) {
     const std::string& query = Table4Queries()[q];
@@ -542,6 +593,40 @@ TEST_F(VmDifferentialTest, CanonicalKeysDistinguishNonEquivalentQueries) {
             key("[\"database\" and \"tuning\"]"));
 }
 
+TEST_F(VmDifferentialTest, CacheOnMatchesCacheOff) {
+  // A cached replay must equal a fresh evaluation: ds_ has the cache on
+  // (the default), so a second Query of the same text is a hit
+  // (elapsed_micros == 0) with the same payload.
+  auto expect_same = [](const QueryResult& fresh, const QueryResult& replay,
+                        const std::string& query) {
+    SCOPED_TRACE("query=" + query);
+    EXPECT_EQ(fresh.columns, replay.columns);
+    EXPECT_EQ(fresh.rows, replay.rows);  // order included
+    EXPECT_EQ(fresh.scores, replay.scores);
+    EXPECT_EQ(fresh.expanded_views, replay.expanded_views);
+  };
+  ds_->ClearQueryCache();
+  const QueryCache::Stats before = ds_->Stats().cache;
+  for (const std::string& query : CatalogQueries()) {
+    auto fresh = ds_->Query(query);
+    ASSERT_TRUE(fresh.ok()) << query << ": " << fresh.status().ToString();
+    auto replay = ds_->Query(query);
+    ASSERT_TRUE(replay.ok()) << query;
+    EXPECT_EQ(replay->elapsed_micros, 0) << query;
+    expect_same(*fresh, *replay, query);
+  }
+  EXPECT_GT(ds_->Stats().cache.hits, before.hits);
+
+  // And against the cache-off processor: clear, re-ask, compare.
+  ds_->ClearQueryCache();
+  for (const std::string& query : CatalogQueries()) {
+    auto uncached = ds_->processor().Execute(query);
+    auto cached = ds_->Query(query);
+    ASSERT_TRUE(uncached.ok() && cached.ok()) << query;
+    expect_same(*uncached, *cached, query);
+  }
+}
+
 // --- PreparedQuery lifecycle -----------------------------------------------
 
 TEST_F(VmDifferentialTest, PreparedQueryExecutesLikeQuery) {
@@ -590,10 +675,10 @@ TEST_F(VmDifferentialTest, SubscribeAcceptsPreparedQuery) {
 
 // --- Explain goldens --------------------------------------------------------
 
-// Golden Explain() listings for every Table 4 shape. The dataspace
-// processor is serial (threads = 1), so the plan shape — and the FNV-1a
-// fingerprint of the canonical key — is stable across platforms. Goldens
-// index into Table4Queries() by position.
+// Golden Explain() listings for every Table 4 shape. Lowering is
+// deterministic, so the plan shape — and the FNV-1a fingerprint of the
+// canonical key — is stable across platforms. Goldens index into
+// Table4Queries() by position.
 TEST_F(VmDifferentialTest, ExplainGoldensForTable4Shapes) {
   const std::vector<std::string> kGoldens = {
       // Q1: ranked keyword.

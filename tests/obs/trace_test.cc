@@ -304,9 +304,7 @@ TEST_F(DataspaceTraceTest, FederationRecordsOnePeerRpcSpanPerPeer) {
 // --- unified stats ----------------------------------------------------------
 
 TEST_F(DataspaceTraceTest, StatsUnifiesTheSubsystemCounters) {
-  iql::Dataspace::Config config = ObservedConfig();
-  config.query.threads = 2;  // populate the pool telemetry arm
-  iql::Dataspace ds(config);
+  iql::Dataspace ds(ObservedConfig());
   AddTicker(&ds);
   ASSERT_TRUE(ds.Query("union(//tick1, //tick2)").ok());
   ASSERT_TRUE(ds.sync().Poll().ok());

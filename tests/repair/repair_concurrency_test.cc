@@ -1,9 +1,10 @@
-// TSan payload for the repair path (label `concurrency`): parallel queries
-// race against mutation + sync rounds whose PostSync hook runs budgeted
-// scrub slices, and against full on-demand ScrubNow passes. The scrubber
-// only ever reads the engine's artifacts on the writer thread (the whole
-// mutation path is single-threaded by design); what this exercises is the
-// query pool's reads of the structures the rescue path snapshots.
+// TSan payload for the repair path (label `concurrency`): queries on a
+// reader thread race against mutation + sync rounds whose PostSync hook
+// runs budgeted scrub slices, and against full on-demand ScrubNow passes.
+// The scrubber only ever reads the engine's artifacts on the writer thread
+// (the whole mutation path is single-threaded by design); what this
+// exercises is the reader's access to the structures the rescue path
+// snapshots.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +24,6 @@ TEST(RepairConcurrency, QueriesRaceBackgroundScrubSlices) {
   Dataspace::Config config;
   config.storage_dir = "ds";
   config.env = &env;
-  config.query.threads = 2;
   config.scrub.enabled = true;
   config.scrub.interval_micros = 0;  // a slice every sync round
   auto ds = Dataspace::Open(std::move(config));
@@ -65,8 +65,6 @@ TEST(RepairConcurrency, QueriesRaceOnDemandScrubPasses) {
   Dataspace::Config config;
   config.storage_dir = "ds";
   config.env = &env;
-  config.query.threads = 2;
-  config.query.min_parallel_chunk = 1;
   auto ds = Dataspace::Open(std::move(config));
   ASSERT_TRUE(ds.ok()) << ds.status();
   auto fs = std::make_shared<vfs::VirtualFileSystem>((*ds)->clock());
@@ -82,7 +80,7 @@ TEST(RepairConcurrency, QueriesRaceOnDemandScrubPasses) {
       EXPECT_TRUE(result.ok());
     }
   });
-  // Full verification passes on the writer thread, racing the pool reads.
+  // Full verification passes on the writer thread, racing the reader.
   for (int i = 0; i < 20; ++i) {
     auto findings = (*ds)->ScrubNow();
     ASSERT_TRUE(findings.ok()) << findings.status();

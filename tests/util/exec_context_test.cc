@@ -1,7 +1,7 @@
 // Unit tests for the query-execution governor (DESIGN.md §10): the
-// hierarchical MemoryBudget, ExecContext limit enforcement, cooperative
-// family cancellation, and the GuardedPrefix hook that bounds expansion of
-// lazy/infinite χ components.
+// MemoryBudget, ExecContext limit enforcement, cooperative cancellation of
+// every thread sharing one context, and the GuardedPrefix hook that bounds
+// expansion of lazy/infinite χ components.
 
 #include "util/exec_context.h"
 
@@ -40,29 +40,6 @@ TEST(MemoryBudgetTest, RefusalLeavesNothingCharged) {
   EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(budget.used(), 80u);  // the failed charge rolled back fully
   EXPECT_EQ(budget.peak(), 80u);
-}
-
-TEST(MemoryBudgetTest, ChildChargesRollUpToParent) {
-  MemoryBudget parent(1000);
-  MemoryBudget child(1000, &parent);
-  ASSERT_TRUE(child.TryCharge(300).ok());
-  EXPECT_EQ(child.used(), 300u);
-  EXPECT_EQ(parent.used(), 300u);
-  child.Release(300);
-  EXPECT_EQ(child.used(), 0u);
-  EXPECT_EQ(parent.used(), 0u);
-}
-
-TEST(MemoryBudgetTest, ParentRefusalRollsBackTheChildCharge) {
-  // The child's own limit admits the charge, but the parent's does not:
-  // nothing may remain charged anywhere.
-  MemoryBudget parent(100);
-  MemoryBudget child(1000, &parent);
-  ASSERT_TRUE(parent.TryCharge(80).ok());
-  Status refused = child.TryCharge(50);
-  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(child.used(), 0u);
-  EXPECT_EQ(parent.used(), 80u);
 }
 
 TEST(MemoryBudgetTest, ZeroLimitAccountsWithoutRefusing) {
@@ -170,53 +147,21 @@ TEST(ExecContextTest, CancelWithOkReasonBecomesCancelled) {
   EXPECT_EQ(ctx.status().code(), StatusCode::kCancelled);
 }
 
-// --- family / child semantics ---------------------------------------------
-
-TEST(ExecContextTest, ChildSharesTheFamilyStepCounter) {
-  ExecContext ctx(nullptr, ExecContext::Limits{});
-  std::unique_ptr<ExecContext> child = ctx.Child();
-  ASSERT_TRUE(ctx.Tick(3).ok());
-  ASSERT_TRUE(child->Tick(4).ok());
-  EXPECT_EQ(ctx.steps_used(), 7u);
-  EXPECT_EQ(child->steps_used(), 7u);
-}
-
-TEST(ExecContextTest, ChildOverrunDoomsTheWholeFamily) {
-  ExecContext::Limits limits;
-  limits.max_steps = 5;
-  ExecContext ctx(nullptr, limits);
-  std::unique_ptr<ExecContext> child = ctx.Child();
-  EXPECT_FALSE(child->TickAlive(6));
-  // The sibling/parent observes the doom on its next check.
-  EXPECT_TRUE(ctx.doomed());
-  EXPECT_EQ(ctx.Tick().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ExecContextTest, ChildMemoryChargesRollUpToTheRootBudget) {
-  ExecContext::Limits limits;
-  limits.memory_limit_bytes = 100;
-  ExecContext ctx(nullptr, limits);
-  std::unique_ptr<ExecContext> a = ctx.Child();
-  std::unique_ptr<ExecContext> b = ctx.Child();
-  ASSERT_TRUE(a->ChargeMemory(60).ok());
-  // b's own sub-budget has room, but the family root does not: 60+60 > 100.
-  Status refused = b->ChargeMemory(60);
-  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
-  EXPECT_TRUE(ctx.doomed());
-  EXPECT_GE(ctx.bytes_peak(), 60u);
-}
+// --- one context shared across threads ------------------------------------
 
 TEST(ExecContextTest, FirstOverrunCancelsSiblingWorkers) {
   ExecContext::Limits limits;
   limits.cancel_at_step = 1000;
   ExecContext ctx(nullptr, limits);
+  // Threads that share one context, as federation's peer workers share the
+  // caller's, all stop at the first overrun.
   std::atomic<int> stopped{0};
   std::vector<std::thread> workers;
   for (int w = 0; w < 4; ++w) {
     workers.emplace_back([&ctx, &stopped] {
-      std::unique_ptr<ExecContext> child = ctx.Child();
-      while (child->TickAlive()) {
+      while (ctx.TickAlive()) {
       }
+      EXPECT_TRUE(ctx.doomed());
       stopped.fetch_add(1);
     });
   }

@@ -189,46 +189,5 @@ TEST(OrderedParallelMapTest, SharedAccumulatorUnderTSan) {
   EXPECT_EQ(total, static_cast<long>(n * (n - 1) / 2));
 }
 
-TEST(ChunkRangesTest, EmptyInput) {
-  EXPECT_TRUE(ChunkRanges(0, 4, 16).empty());
-}
-
-TEST(ChunkRangesTest, SmallInputSingleChunk) {
-  auto chunks = ChunkRanges(10, 4, 16);
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].first, 0u);
-  EXPECT_EQ(chunks[0].second, 10u);
-}
-
-TEST(ChunkRangesTest, CoversRangeExactlyOnce) {
-  for (size_t n : {1u, 7u, 64u, 1000u, 4096u}) {
-    for (size_t ways : {1u, 2u, 3u, 4u, 8u}) {
-      for (size_t min_chunk : {1u, 16u, 256u}) {
-        auto chunks = ChunkRanges(n, ways, min_chunk);
-        ASSERT_FALSE(chunks.empty());
-        size_t expect_begin = 0;
-        for (const auto& [begin, end] : chunks) {
-          EXPECT_EQ(begin, expect_begin);
-          EXPECT_LT(begin, end);
-          expect_begin = end;
-        }
-        EXPECT_EQ(expect_begin, n)
-            << "n=" << n << " ways=" << ways << " min=" << min_chunk;
-        EXPECT_LE(chunks.size(), ways);
-      }
-    }
-  }
-}
-
-TEST(ChunkRangesTest, RespectsMinChunk) {
-  auto chunks = ChunkRanges(100, 8, 40);
-  // 100 items, min 40 per chunk -> at most 2 chunks.
-  EXPECT_LE(chunks.size(), 2u);
-  for (const auto& [begin, end] : chunks) {
-    (void)begin;
-    (void)end;
-  }
-}
-
 }  // namespace
 }  // namespace idm::util
